@@ -45,8 +45,8 @@ import (
 // runCounts) since every report hits one of only two of them.
 //
 // A top-level RWMutex makes whole reports atomic with respect to
-// readers: appliers hold the read side for the duration of one report
-// (counter bumps, log append, and eviction decrement together), while
+// readers: appliers hold the read side for the duration of one batch
+// (counter bumps, log appends, and eviction decrements together), while
 // snapshots and score queries take the write side, so they never
 // observe a half-applied report or a log/counter mismatch — and, since
 // readers exclude every applier, they read the counter arrays without
@@ -299,31 +299,35 @@ func (a *shardedAgg) noteLocked(kind byte, data []byte) {
 // Apply folds one report into the aggregate and the run log, evicting
 // (and un-counting) runs the retention caps no longer cover — the
 // oldest run when the log is at its count capacity, plus any runs
-// older than the age cap. Safe for concurrent use.
+// older than the age cap. It is a one-report ApplyBatch. Safe for
+// concurrent use.
 func (a *shardedAgg) Apply(r *report.Report) {
-	a.gate.RLock()
-	defer a.gate.RUnlock()
-	a.applyOne(r, nil, corpus.NoKey)
+	a.ApplyBatch([]*report.Report{r}, nil, corpus.NoKey, nil)
 }
 
 // ApplyBatch folds a whole batch atomically with respect to snapshots
 // and queries: the gate is held across every report, and after (when
-// non-nil) runs under the same hold with the batch's encoded run-log
-// records — the point where callers mark the batch's WAL sequence
-// applied and stash the records for revoke reversal, so a concurrent
-// snapshot can never capture half a batch or a mark without its state.
-// encoded, when non-nil, supplies each report's AppendRecord bytes
-// (index-aligned with reports) so a caller that already encoded the
-// batch — the WAL append path — doesn't pay for it twice. key is the
-// batch's routing-key hash (corpus.NoKey when unknown); every run in a
-// batch shares one submitting client and hence one key. recs is nil
-// when retention is disabled.
-func (a *shardedAgg) ApplyBatch(reports []*report.Report, encoded [][]byte, key uint64, after func(recs [][]byte)) [][]byte {
+// non-nil) runs under the same hold with the batch's canonical run-log
+// records and the log sequence of its last run — the point where
+// callers mark the batch's WAL sequence applied and stash the records
+// for revoke reversal, so a concurrent snapshot can never capture half
+// a batch or a mark without its state. encoded, when non-nil, supplies
+// each report's AppendRecord bytes (index-aligned with reports) so a
+// caller that already encoded the batch — the WAL append path — doesn't
+// pay for it twice; the log copies what it retains, so encoded may be
+// scratch. key is the batch's routing-key hash (corpus.NoKey when
+// unknown); every run in a batch shares one submitting client and hence
+// one key. recs is nil when retention is disabled.
+func (a *shardedAgg) ApplyBatch(reports []*report.Report, encoded [][]byte, key uint64, after func(recs [][]byte, lastSeq uint64)) {
 	a.gate.RLock()
 	defer a.gate.RUnlock()
-	var recs, evicted [][]byte
+	sc := a.getFold()
+	var recs [][]byte
+	var lastSeq uint64
 	if a.log != nil {
-		recs = make([][]byte, 0, len(reports))
+		if after != nil {
+			recs = make([][]byte, 0, len(reports))
+		}
 		now := a.now().UnixNano()
 		var scratch *[]byte
 		if encoded == nil {
@@ -332,45 +336,37 @@ func (a *shardedAgg) ApplyBatch(reports []*report.Report, encoded [][]byte, key 
 		a.logMu.Lock()
 		if a.maxAge > 0 {
 			// One age sweep covers the whole batch: every append below is
-			// stamped with this same now, so nothing can expire mid-batch
-			// — the per-report sweeps this replaces would all be no-ops.
-			evicted = a.log.evictExpired(now - int64(a.maxAge))
-			if a.hist != nil {
-				for range evicted {
-					a.noteLocked(corpus.DeltaEvict, nil)
-				}
-			}
+			// stamped with this same now, so nothing can expire mid-batch.
+			sc.evicted = a.log.evictExpired(now-int64(a.maxAge), sc.evicted)
+			a.noteEvicts(len(sc.evicted))
 		}
 		for i, r := range reports {
 			var pre []byte
-			owned := encoded != nil
-			if owned {
+			if encoded != nil {
 				pre = encoded[i]
 			} else {
 				*scratch = report.AppendRecord((*scratch)[:0], r)
 				pre = *scratch
 			}
-			rec, ev := a.log.append(pre, owned, key, now)
+			n := len(sc.evicted)
+			var rec []byte
+			rec, sc.evicted = a.log.append(pre, key, now, sc.evicted)
 			if a.hist != nil {
-				for range ev {
-					a.noteLocked(corpus.DeltaEvict, nil)
-				}
+				a.noteEvicts(len(sc.evicted) - n)
 				a.noteLocked(corpus.DeltaAppend, rec)
 			}
-			evicted = append(evicted, ev...)
-			recs = append(recs, rec)
+			if after != nil {
+				recs = append(recs, rec)
+			}
 		}
+		lastSeq = a.log.lastSeq
 		a.logMu.Unlock()
-		if scratch != nil {
-			a.encPool.Put(scratch)
-		}
+		a.putEncBuf(scratch)
 	}
-	a.bumpBatch(reports)
-	a.uncount(evicted)
+	a.fold(sc, reports)
 	if after != nil {
-		after(recs)
+		after(recs, lastSeq)
 	}
-	return recs
 }
 
 // getEncBuf fetches a pooled record-encode scratch buffer.
@@ -381,126 +377,145 @@ func (a *shardedAgg) getEncBuf() *[]byte {
 	return new([]byte)
 }
 
-// applyOne folds one report; callers hold gate.RLock. pre, when
-// non-nil, is the report's pre-computed AppendRecord encoding. Returns
-// the canonical (interned) run-log record (nil when retention is
-// disabled).
-func (a *shardedAgg) applyOne(r *report.Report, pre []byte, key uint64) []byte {
-	var rec []byte
-	var evicted [][]byte
-	if a.log != nil {
-		owned := pre != nil
-		var scratch *[]byte
-		if pre == nil {
-			scratch = a.getEncBuf()
-			*scratch = report.AppendRecord((*scratch)[:0], r)
-			pre = *scratch
-		}
-		now := a.now().UnixNano()
-		a.logMu.Lock()
-		if a.maxAge > 0 {
-			evicted = a.log.evictExpired(now - int64(a.maxAge))
-		}
-		var ev [][]byte
-		rec, ev = a.log.append(pre, owned, key, now)
-		evicted = append(evicted, ev...)
-		if a.hist != nil {
-			// Recording the evictions before the append is equivalent to
-			// the interleaved order above: the byte cap never evicts the
-			// newest run, and counter updates commute.
-			for range evicted {
-				a.noteLocked(corpus.DeltaEvict, nil)
-			}
-			a.noteLocked(corpus.DeltaAppend, rec)
-		}
-		a.logMu.Unlock()
-		if scratch != nil {
-			a.encPool.Put(scratch)
-		}
+// putEncBuf returns a buffer from getEncBuf to the pool (nil is a
+// no-op).
+func (a *shardedAgg) putEncBuf(b *[]byte) {
+	if b != nil {
+		a.encPool.Put(b)
 	}
-
-	a.bump(r, +1)
-	a.uncount(evicted)
-	return rec
 }
 
-// foldScratch is the batched fold's workspace: dense per-id delta
-// arrays (sized to the aggregate's dims) plus the lists of ids a batch
-// actually touched, so flushing is proportional to the batch, not the
-// dims. Deltas are always back to zero when the scratch returns to the
-// pool.
+// noteEvicts records n evictions as delta events; callers hold logMu.
+func (a *shardedAgg) noteEvicts(n int) {
+	if a.hist == nil {
+		return
+	}
+	for i := 0; i < n; i++ {
+		a.noteLocked(corpus.DeltaEvict, nil)
+	}
+}
+
+// foldScratch is the fold's workspace: dense per-id delta arrays (sized
+// to the aggregate's dims on first batched use) plus the lists of ids a
+// fold actually touched, so flushing is proportional to the fold, not
+// the dims; the run-log records the fold un-counts; and the walker that
+// decodes them. Deltas are always back to zero, and evicted empty, when
+// the scratch returns to the pool.
 type foldScratch struct {
 	fSite, sSite, fPred, sPred []int64
 	tfSite, tsSite             []int32
 	tfPred, tsPred             []int32
+	evicted                    [][]byte
+	ids                        report.RecordIDs
 }
 
-// bumpBatch folds a whole batch of +1 reports into the counters with
-// one add per distinct (id, outcome) the batch touches — and one
-// stripe-lock acquisition per stripe touched — instead of one per
-// report occurrence. Callers hold gate.RLock.
-func (a *shardedAgg) bumpBatch(reports []*report.Report) {
-	if len(reports) == 0 {
-		return
-	}
-	if len(reports) == 1 {
-		a.bump(reports[0], +1)
-		return
-	}
-	var sc *foldScratch
+// getFold fetches a pooled fold workspace.
+func (a *shardedAgg) getFold() *foldScratch {
 	if v := a.foldPool.Get(); v != nil {
-		sc = v.(*foldScratch)
+		return v.(*foldScratch)
+	}
+	return &foldScratch{}
+}
+
+// fold lands one mutation in the counters: +1 for every report and -1
+// for every record in sc.evicted, walked straight from its bytes — no
+// Report is built. A lone report with at most one eviction (the
+// per-report steady state) adds along the ascending id lists directly;
+// anything larger accumulates per-id deltas in sc and flushes with one
+// add per touched id, so a batch and the evictions it forced take each
+// stripe lock once. Callers hold gate (either side); fold returns sc to
+// the pool.
+func (a *shardedAgg) fold(sc *foldScratch, reports []*report.Report) {
+	if len(reports) <= 1 && len(sc.evicted) <= 1 {
+		for _, r := range reports {
+			a.bump(r.Failed, r.ObservedSites, r.TruePreds, +1)
+		}
+		for _, rec := range sc.evicted {
+			a.walk(sc, rec)
+			a.bump(sc.ids.Failed, sc.ids.Sites, sc.ids.Preds, -1)
+		}
 	} else {
-		sc = &foldScratch{}
-	}
-	if len(sc.fSite) < a.numSites {
-		sc.fSite = make([]int64, a.numSites)
-		sc.sSite = make([]int64, a.numSites)
-	}
-	if len(sc.fPred) < a.numPreds {
-		sc.fPred = make([]int64, a.numPreds)
-		sc.sPred = make([]int64, a.numPreds)
-	}
-	var nf, ns int64
-	for _, r := range reports {
-		site, pred := sc.sSite, sc.sPred
-		touchedS, touchedP := &sc.tsSite, &sc.tsPred
-		if r.Failed {
-			site, pred = sc.fSite, sc.fPred
-			touchedS, touchedP = &sc.tfSite, &sc.tfPred
-			nf++
-		} else {
-			ns++
+		if len(sc.fSite) < a.numSites {
+			sc.fSite = make([]int64, a.numSites)
+			sc.sSite = make([]int64, a.numSites)
 		}
-		// Deltas are all +1, so a slot is first-touched exactly when it
-		// is still zero.
-		for _, id := range r.ObservedSites {
-			if site[id] == 0 {
-				*touchedS = append(*touchedS, id)
+		if len(sc.fPred) < a.numPreds {
+			sc.fPred = make([]int64, a.numPreds)
+			sc.sPred = make([]int64, a.numPreds)
+		}
+		var nf, ns int64
+		for _, r := range reports {
+			sc.add(r.Failed, r.ObservedSites, r.TruePreds, +1)
+			if r.Failed {
+				nf++
+			} else {
+				ns++
 			}
-			site[id]++
 		}
-		for _, id := range r.TruePreds {
-			if pred[id] == 0 {
-				*touchedP = append(*touchedP, id)
+		for _, rec := range sc.evicted {
+			a.walk(sc, rec)
+			sc.add(sc.ids.Failed, sc.ids.Sites, sc.ids.Preds, -1)
+			if sc.ids.Failed {
+				nf--
+			} else {
+				ns--
 			}
-			pred[id]++
 		}
+		flushFold(a.fObsSite, sc.fSite, sc.tfSite, a.siteMu, a.siteBlock)
+		flushFold(a.sObsSite, sc.sSite, sc.tsSite, a.siteMu, a.siteBlock)
+		flushFold(a.fPred, sc.fPred, sc.tfPred, a.predMu, a.predBlock)
+		flushFold(a.sPred, sc.sPred, sc.tsPred, a.predMu, a.predBlock)
+		sc.tfSite, sc.tsSite = sc.tfSite[:0], sc.tsSite[:0]
+		sc.tfPred, sc.tsPred = sc.tfPred[:0], sc.tsPred[:0]
+		a.runs.BumpN(nf, ns)
 	}
-	flushFold(a.fObsSite, sc.fSite, sc.tfSite, a.siteMu, a.siteBlock)
-	flushFold(a.sObsSite, sc.sSite, sc.tsSite, a.siteMu, a.siteBlock)
-	flushFold(a.fPred, sc.fPred, sc.tfPred, a.predMu, a.predBlock)
-	flushFold(a.sPred, sc.sPred, sc.tsPred, a.predMu, a.predBlock)
-	sc.tfSite, sc.tsSite = sc.tfSite[:0], sc.tsSite[:0]
-	sc.tfPred, sc.tsPred = sc.tfPred[:0], sc.tsPred[:0]
+	// Drop the record references so a pooled workspace pins nothing.
+	clear(sc.evicted)
+	sc.evicted = sc.evicted[:0]
 	a.foldPool.Put(sc)
-	a.runs.BumpN(nf, ns)
+}
+
+// walk decodes one run-log record's id lists into sc.ids. The records
+// were produced by AppendRecord on already-validated reports, so
+// decoding cannot fail; a corrupted record would mean memory
+// corruption, and dropping it silently would desync the counters from
+// the log.
+func (a *shardedAgg) walk(sc *foldScratch, rec []byte) {
+	if _, err := sc.ids.Decode(rec, a.numSites, a.numPreds); err != nil {
+		panic(fmt.Sprintf("collector: run-log record: %v", err))
+	}
+}
+
+// add accumulates delta onto one run's ids. Deltas of both signs pass
+// through here, so a slot can return to zero and be touched again; its
+// id then appears twice in the touched list, which flushFold tolerates.
+func (sc *foldScratch) add(failed bool, sites, preds []int32, delta int64) {
+	site, pred := sc.sSite, sc.sPred
+	touchedS, touchedP := &sc.tsSite, &sc.tsPred
+	if failed {
+		site, pred = sc.fSite, sc.fPred
+		touchedS, touchedP = &sc.tfSite, &sc.tfPred
+	}
+	for _, id := range sites {
+		if site[id] == 0 {
+			*touchedS = append(*touchedS, id)
+		}
+		site[id] += delta
+	}
+	for _, id := range preds {
+		if pred[id] == 0 {
+			*touchedP = append(*touchedP, id)
+		}
+		pred[id] += delta
+	}
 }
 
 // flushFold lands accumulated deltas with one plain add per touched
 // id under the covering stripe locks, re-zeroing the dense array as it
 // goes. Sorting the touched list first makes the walk take each stripe
-// lock once and touch dst in ascending (cache-friendly) order.
+// lock once and touch dst in ascending (cache-friendly) order; it also
+// puts a twice-touched id's entries side by side, and the second adds
+// the zero the first left behind.
 func flushFold(dst, deltas []int64, touched []int32, mus []stripeMutex, block int) {
 	slices.Sort(touched)
 	i := 0
@@ -518,25 +533,6 @@ func flushFold(dst, deltas []int64, touched []int32, mus []stripeMutex, block in
 	}
 }
 
-// uncount subtracts evicted run-log records from the counters. Callers
-// must hold gate (either side).
-func (a *shardedAgg) uncount(evicted [][]byte) {
-	if len(evicted) == 0 {
-		return
-	}
-	// The records were produced by AppendRecord on already-validated
-	// reports, so decoding cannot fail; a corrupted record would mean
-	// memory corruption, and dropping it silently would desync the
-	// counters from the log.
-	old, err := decodeRecords(evicted, a.numSites, a.numPreds)
-	if err != nil {
-		panic(err)
-	}
-	for _, r := range old {
-		a.bump(r, -1)
-	}
-}
-
 // EvictExpired evicts (and un-counts) runs older than the age cap, so
 // retention holds even across idle stretches with no ingest. No-op
 // when the log or the age cap is disabled. Safe for concurrent use.
@@ -546,16 +542,13 @@ func (a *shardedAgg) EvictExpired() {
 	}
 	a.gate.RLock()
 	defer a.gate.RUnlock()
+	sc := a.getFold()
 	cutoff := a.now().UnixNano() - int64(a.maxAge)
 	a.logMu.Lock()
-	evicted := a.log.evictExpired(cutoff)
-	if a.hist != nil {
-		for range evicted {
-			a.noteLocked(corpus.DeltaEvict, nil)
-		}
-	}
+	sc.evicted = a.log.evictExpired(cutoff, sc.evicted)
+	a.noteEvicts(len(sc.evicted))
 	a.logMu.Unlock()
-	a.uncount(evicted)
+	a.fold(sc, nil)
 }
 
 // MergeSegment folds a peer collector's exported state in: the peer's
@@ -565,14 +558,14 @@ func (a *shardedAgg) EvictExpired() {
 // caps apply to them as usual. The whole merge is atomic with respect
 // to snapshots and score queries; after (when non-nil) runs under the
 // same hold with the joined runs' encoded records (nil when retention
-// is disabled) — where the caller marks the merge's WAL sequence
+// is disabled) and the log sequence of the last — where the caller marks the merge's WAL sequence
 // applied and stashes the records so the merge is revocable (a
 // migration chunk whose source crashed mid-handoff is un-applied by
 // exactly these bytes). keys, when non-nil, carries the peer's
 // per-record routing-key hashes (aligned with reports) so migrated
 // runs stay addressable by range on this shard; nil keys joins the
 // runs unkeyed.
-func (a *shardedAgg) MergeSegment(snap *corpus.AggSnapshot, reports []*report.Report, keys []uint64, after func(recs [][]byte)) {
+func (a *shardedAgg) MergeSegment(snap *corpus.AggSnapshot, reports []*report.Report, keys []uint64, after func(recs [][]byte, lastSeq uint64)) {
 	a.gate.Lock()
 	defer a.gate.Unlock()
 	for i, v := range snap.FobsSite {
@@ -589,10 +582,13 @@ func (a *shardedAgg) MergeSegment(snap *corpus.AggSnapshot, reports []*report.Re
 	}
 	a.runs.Add(snap.NumF, snap.NumS)
 
-	var evicted, joined [][]byte
+	sc := a.getFold()
+	var joined [][]byte
+	var lastSeq uint64
 	if a.log != nil {
 		joined = make([][]byte, 0, len(reports))
 		now := a.now().UnixNano()
+		scratch := a.getEncBuf()
 		a.logMu.Lock()
 		if a.hist != nil {
 			// The counter fold becomes one 'M' event carrying the peer
@@ -610,48 +606,46 @@ func (a *shardedAgg) MergeSegment(snap *corpus.AggSnapshot, reports []*report.Re
 			}
 		}
 		if a.maxAge > 0 {
-			ev := a.log.evictExpired(now - int64(a.maxAge))
-			if a.hist != nil {
-				for range ev {
-					a.noteLocked(corpus.DeltaEvict, nil)
-				}
-			}
-			evicted = append(evicted, ev...)
+			sc.evicted = a.log.evictExpired(now-int64(a.maxAge), sc.evicted)
+			a.noteEvicts(len(sc.evicted))
 		}
 		for i, r := range reports {
 			key := corpus.NoKey
 			if keys != nil {
 				key = keys[i]
 			}
-			rec, ev := a.log.append(report.AppendRecord(nil, r), true, key, now)
+			*scratch = report.AppendRecord((*scratch)[:0], r)
+			n := len(sc.evicted)
+			var rec []byte
+			rec, sc.evicted = a.log.append(*scratch, key, now, sc.evicted)
 			joined = append(joined, rec)
 			if a.hist != nil {
-				for range ev {
-					a.noteLocked(corpus.DeltaEvict, nil)
-				}
+				a.noteEvicts(len(sc.evicted) - n)
 				a.noteLocked(corpus.DeltaJoin, rec)
 			}
-			evicted = append(evicted, ev...)
 		}
+		lastSeq = a.log.lastSeq
 		a.logMu.Unlock()
+		a.putEncBuf(scratch)
 	}
-	a.uncount(evicted)
+	a.fold(sc, nil)
 	if after != nil {
-		after(joined)
+		after(joined, lastSeq)
 	}
 }
 
-// bump adds delta to every counter the report touches, with lock-free
-// atomic adds. Callers must hold gate.RLock (or stronger).
-func (a *shardedAgg) bump(r *report.Report, delta int64) {
+// bump adds delta to every counter one run touches — plain adds under
+// the covering stripe locks, taken once per stripe along the ascending
+// id lists. Callers must hold gate.RLock (or stronger).
+func (a *shardedAgg) bump(failed bool, sites, preds []int32, delta int64) {
 	siteCounts, predCounts := a.sObsSite, a.sPred
-	if r.Failed {
+	if failed {
 		siteCounts, predCounts = a.fObsSite, a.fPred
 	}
-	addStriped(siteCounts, r.ObservedSites, delta, a.siteMu, a.siteBlock)
-	addStriped(predCounts, r.TruePreds, delta, a.predMu, a.predBlock)
+	addStriped(siteCounts, sites, delta, a.siteMu, a.siteBlock)
+	addStriped(predCounts, preds, delta, a.predMu, a.predBlock)
 
-	if r.Failed {
+	if failed {
 		a.runs.BumpN(delta, 0)
 	} else {
 		a.runs.BumpN(0, delta)
@@ -762,6 +756,7 @@ func (a *shardedAgg) RemoveRecords(recs [][]byte) [][]byte {
 	}
 	a.gate.Lock()
 	defer a.gate.Unlock()
+	sc := a.getFold()
 	a.logMu.Lock()
 	removed := a.log.remove(recs)
 	if a.hist != nil && len(removed) > 0 {
@@ -769,7 +764,8 @@ func (a *shardedAgg) RemoveRecords(recs [][]byte) [][]byte {
 		a.hist.reset()
 	}
 	a.logMu.Unlock()
-	a.uncount(removed)
+	sc.evicted = append(sc.evicted, removed...)
+	a.fold(sc, nil)
 	return removed
 }
 
@@ -819,7 +815,7 @@ func (a *shardedAgg) RecountFromLog() error {
 		return err
 	}
 	for _, r := range reports {
-		a.bump(r, +1)
+		a.bump(r.Failed, r.ObservedSites, r.TruePreds, +1)
 	}
 	return nil
 }
@@ -1039,6 +1035,18 @@ func (a *shardedAgg) SubtractSnapshot(snap *corpus.AggSnapshot, after func()) er
 		after()
 	}
 	return nil
+}
+
+// OldestSeq returns the append sequence of the oldest retained run
+// (lastSeq+1 when the log is empty, 0 when retention is disabled):
+// every run appended below it has left the window.
+func (a *shardedAgg) OldestSeq() uint64 {
+	if a.log == nil {
+		return 0
+	}
+	a.logMu.Lock()
+	defer a.logMu.Unlock()
+	return a.log.oldestSeq()
 }
 
 // LogSeq returns the most recently assigned run-log append sequence

@@ -218,7 +218,7 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 			snap.NumSites, snap.NumPreds, s.cfg.NumSites, s.cfg.NumPreds), http.StatusBadRequest)
 		return
 	}
-	removed := s.agg.RemoveRecords(encodeReports(set.Reports))
+	removed := s.agg.RemoveRecords(encodeReports(new([]byte), set.Reports))
 	if len(removed) > 0 {
 		s.migrateEvicted.Add(int64(len(removed)))
 		if s.cfg.WALPath != "" {

@@ -3,6 +3,7 @@ package collector
 import (
 	"bytes"
 	"fmt"
+	"hash/maphash"
 
 	"cbi/internal/corpus"
 	"cbi/internal/report"
@@ -34,15 +35,16 @@ type runLog struct {
 	// least one run.
 	maxBytes int64
 	bytes    int64
-	// Circular buffer: recs/times/keys/seqs share indices, len(recs) is
+	// Circular buffer: ents/times/keys/seqs share indices, len(ents) is
 	// the allocated ring size (grows amortized up to cap), head the
-	// oldest entry, n the live count. keys holds each run's routing-key
-	// hash (corpus.NoKey when unknown) so a migration can select runs by
-	// ring range; seqs holds a per-boot, strictly increasing append
-	// sequence so an export can cut over on a watermark. Sequences are
-	// only meaningful within one boot epoch — a restart renumbers.
-	recs  [][]byte
-	times []int64 // arrival UnixNano, same order as recs
+	// oldest entry, n the live count. Each slot points at its run's
+	// interned record. keys holds each run's routing-key hash
+	// (corpus.NoKey when unknown) so a migration can select runs by ring
+	// range; seqs holds a per-boot, strictly increasing append sequence
+	// so an export can cut over on a watermark. Sequences are only
+	// meaningful within one boot epoch — a restart renumbers.
+	ents  []*internEntry
+	times []int64 // arrival UnixNano, same order as ents
 	keys  []uint64
 	seqs  []uint64
 	head  int
@@ -57,134 +59,172 @@ type runLog struct {
 	evicted int64
 	// interned dedups identical membership vectors behind refcounts:
 	// many runs of the same subject observe the same sites and
-	// predicates, so their encoded records are byte-identical. Each ring
-	// slot holds exactly one reference to its canonical record; byte
-	// accounting stays logical (len(rec) per retained slot), so caps and
-	// stats describe the window, not the dedup. Canonical bytes are
-	// immutable, and records returned from the log (evictions, exports)
-	// stay valid after their entry is released — release only drops the
-	// map entry, never reuses the bytes.
-	interned map[string]*internEntry
+	// predicates, so their encoded records are byte-identical. The table
+	// is keyed by a hash of the record with a collision chain per hash,
+	// so each distinct record is held exactly once, as an exact-length
+	// copy, and the key costs 8 bytes instead of a second copy of the
+	// record. Each ring slot holds one reference; byte accounting stays
+	// logical (len(rec) per retained slot), so caps and stats describe
+	// the window, not the dedup. Canonical bytes are immutable, and
+	// records returned from the log (evictions, exports) stay valid after
+	// their entry is released — release only unlinks the entry, never
+	// reuses the bytes.
+	interned map[uint64]*internEntry
+	distinct int // entries in interned, chains included
+	hash     func([]byte) uint64
 }
 
-// internEntry is one canonical encoded membership vector plus how many
-// ring slots currently reference it.
+// internEntry is one canonical encoded membership vector, how many ring
+// slots currently reference it, and the next entry whose record hashes
+// the same.
 type internEntry struct {
 	rec  []byte
+	hash uint64
 	refs int
+	next *internEntry
 }
 
 func newRunLog(capRuns int, maxBytes int64) *runLog {
+	seed := maphash.MakeSeed()
 	return &runLog{cap: capRuns, maxBytes: maxBytes,
-		interned: make(map[string]*internEntry)}
+		interned: make(map[uint64]*internEntry),
+		hash:     func(b []byte) uint64 { return maphash.Bytes(seed, b) }}
 }
 
-// intern returns the canonical copy of rec, adding one reference. When
-// owned, a first-seen rec is adopted as the canonical bytes without
-// copying (the caller must never mutate it afterwards); otherwise the
-// first occurrence is copied, so callers may pass reused scratch
-// buffers. The map lookup on the hit path allocates nothing.
-func (l *runLog) intern(rec []byte, owned bool) []byte {
-	if e := l.interned[string(rec)]; e != nil {
-		e.refs++
-		return e.rec
-	}
-	canon := rec
-	if !owned {
-		canon = append([]byte(nil), rec...)
-	}
-	l.interned[string(canon)] = &internEntry{rec: canon, refs: 1}
-	return canon
-}
-
-// release drops one ring-slot reference to a canonical record, deleting
-// the map entry when the last reference goes. The bytes themselves stay
-// valid — outstanding copies handed out by records()/append() keep
-// working.
-func (l *runLog) release(rec []byte) {
-	if e := l.interned[string(rec)]; e != nil {
-		if e.refs--; e.refs == 0 {
-			delete(l.interned, string(rec))
+// intern returns the entry holding rec's canonical copy, adding one
+// reference. A first-seen rec is copied into an exact-length buffer, so
+// callers may pass scratch they reuse, and the log never retains the
+// slack of an encode buffer sized for the worst case. The hit path
+// allocates nothing.
+func (l *runLog) intern(rec []byte) *internEntry {
+	h := l.hash(rec)
+	head := l.interned[h]
+	for e := head; e != nil; e = e.next {
+		if bytes.Equal(e.rec, rec) {
+			e.refs++
+			return e
 		}
 	}
+	canon := make([]byte, len(rec))
+	copy(canon, rec)
+	e := &internEntry{rec: canon, hash: h, refs: 1, next: head}
+	l.interned[h] = e
+	l.distinct++
+	return e
+}
+
+// release drops one ring-slot reference, unlinking the entry when the
+// last reference goes. The bytes themselves stay valid — outstanding
+// copies handed out by records()/append() keep working.
+func (l *runLog) release(e *internEntry) {
+	if e.refs--; e.refs > 0 {
+		return
+	}
+	l.distinct--
+	if p := l.interned[e.hash]; p == e {
+		if e.next == nil {
+			delete(l.interned, e.hash)
+		} else {
+			l.interned[e.hash] = e.next
+		}
+	} else {
+		for p.next != e {
+			p = p.next
+		}
+		p.next = e.next
+	}
+	e.next = nil
 }
 
 // internedCount returns the number of distinct membership vectors
 // currently retained.
-func (l *runLog) internedCount() int { return len(l.interned) }
+func (l *runLog) internedCount() int { return l.distinct }
+
+// at returns the ring index of the i-th oldest retained run.
+func (l *runLog) at(i int) int { return (l.head + i) % len(l.ents) }
 
 // grow doubles the ring allocation (up to cap), relinearizing at 0.
 func (l *runLog) grow() {
-	size := 2 * len(l.recs)
+	size := 2 * len(l.ents)
 	if size == 0 {
 		size = 64
 	}
 	if size > l.cap {
 		size = l.cap
 	}
-	recs := make([][]byte, size)
+	ents := make([]*internEntry, size)
 	times := make([]int64, size)
 	keys := make([]uint64, size)
 	seqs := make([]uint64, size)
 	for i := 0; i < l.n; i++ {
-		j := (l.head + i) % len(l.recs)
-		recs[i], times[i], keys[i], seqs[i] = l.recs[j], l.times[j], l.keys[j], l.seqs[j]
+		j := l.at(i)
+		ents[i], times[i], keys[i], seqs[i] = l.ents[j], l.times[j], l.keys[j], l.seqs[j]
 	}
-	l.recs, l.times, l.keys, l.seqs, l.head = recs, times, keys, seqs, 0
+	l.ents, l.times, l.keys, l.seqs, l.head = ents, times, keys, seqs, 0
 }
 
 // append interns and stores one encoded record stamped with its arrival
 // time. It returns the canonical (interned) record — callers that log
 // or stash the batch must hold the canonical bytes, not the scratch
-// they encoded into — plus the evicted records the retention caps force
-// out, oldest first (nil when under cap): at most one for the count
-// cap, plus as many oldest runs as it takes to get back under the byte
-// cap. owned declares whether rec is a fresh allocation the log may
-// adopt as canonical (see intern). The returned slices are immutable:
-// rings swap record pointers, never reuse their bytes.
-func (l *runLog) append(rec []byte, owned bool, key uint64, now int64) (canon []byte, evicted [][]byte) {
+// they encoded into — and appends to evicted the records the retention
+// caps force out, oldest first: at most one for the count cap, plus as
+// many oldest runs as it takes to get back under the byte cap. The
+// returned slices are immutable: rings swap entry pointers, never reuse
+// record bytes.
+func (l *runLog) append(rec []byte, key uint64, now int64, evicted [][]byte) (canon []byte, _ [][]byte) {
 	if l.n == l.cap {
 		evicted = append(evicted, l.evictOldest())
-	} else if l.n == len(l.recs) {
+	} else if l.n == len(l.ents) {
 		l.grow()
 	}
-	rec = l.intern(rec, owned)
-	i := (l.head + l.n) % len(l.recs)
+	e := l.intern(rec)
+	i := l.at(l.n)
 	l.lastSeq++
-	l.recs[i], l.times[i], l.keys[i], l.seqs[i] = rec, now, key, l.lastSeq
+	l.ents[i], l.times[i], l.keys[i], l.seqs[i] = e, now, key, l.lastSeq
 	l.n++
-	l.bytes += int64(len(rec))
+	l.bytes += int64(len(e.rec))
 	l.version++
 	if l.maxBytes > 0 {
 		for l.bytes > l.maxBytes && l.n > 1 {
 			evicted = append(evicted, l.evictOldest())
 		}
 	}
-	return rec, evicted
+	return e.rec, evicted
 }
 
 // evictOldest pops and returns the oldest record, dropping its intern
 // reference (the returned bytes remain valid).
 func (l *runLog) evictOldest() []byte {
-	rec := l.recs[l.head]
-	l.recs[l.head] = nil
-	l.head = (l.head + 1) % len(l.recs)
+	e := l.ents[l.head]
+	l.ents[l.head] = nil
+	l.head = (l.head + 1) % len(l.ents)
 	l.n--
-	l.bytes -= int64(len(rec))
+	l.bytes -= int64(len(e.rec))
 	l.evicted++
 	l.version++
-	l.release(rec)
-	return rec
+	l.release(e)
+	return e.rec
 }
 
 // evictExpired pops every record that arrived before cutoff (UnixNano),
-// oldest first, and returns them so the caller can un-count each. Runs
-// arrive in time order, so the expired set is always a prefix.
-func (l *runLog) evictExpired(cutoff int64) (evicted [][]byte) {
+// oldest first, appending them to evicted so the caller can un-count
+// each. Runs arrive in time order, so the expired set is always a
+// prefix.
+func (l *runLog) evictExpired(cutoff int64, evicted [][]byte) [][]byte {
 	for l.n > 0 && l.times[l.head] < cutoff {
 		evicted = append(evicted, l.evictOldest())
 	}
 	return evicted
+}
+
+// oldestSeq returns the append sequence of the oldest retained run, or
+// lastSeq+1 when the log is empty: every run appended at a lower
+// sequence has left the window.
+func (l *runLog) oldestSeq() uint64 {
+	if l.n == 0 {
+		return l.lastSeq + 1
+	}
+	return l.seqs[l.head]
 }
 
 // len returns the number of retained runs.
@@ -196,7 +236,7 @@ func (l *runLog) len() int { return l.n }
 func (l *runLog) records() [][]byte {
 	out := make([][]byte, 0, l.n)
 	for i := 0; i < l.n; i++ {
-		out = append(out, l.recs[(l.head+i)%len(l.recs)])
+		out = append(out, l.ents[l.at(i)].rec)
 	}
 	return out
 }
@@ -207,8 +247,8 @@ func (l *runLog) recordsKeyed() ([][]byte, []uint64) {
 	recs := make([][]byte, 0, l.n)
 	keys := make([]uint64, 0, l.n)
 	for i := 0; i < l.n; i++ {
-		j := (l.head + i) % len(l.recs)
-		recs = append(recs, l.recs[j])
+		j := l.at(i)
+		recs = append(recs, l.ents[j].rec)
 		keys = append(keys, l.keys[j])
 	}
 	return recs, keys
@@ -233,7 +273,7 @@ func matchRange(key uint64, ranges []corpus.KeyRange) bool {
 func (l *runLog) selectRange(ranges []corpus.KeyRange, sinceSeq uint64, max int) (recs [][]byte, keys []uint64, watermark uint64, remaining int) {
 	watermark = sinceSeq
 	for i := 0; i < l.n; i++ {
-		j := (l.head + i) % len(l.recs)
+		j := l.at(i)
 		if l.seqs[j] <= sinceSeq || !matchRange(l.keys[j], ranges) {
 			continue
 		}
@@ -241,7 +281,7 @@ func (l *runLog) selectRange(ranges []corpus.KeyRange, sinceSeq uint64, max int)
 			remaining++
 			continue
 		}
-		recs = append(recs, l.recs[j])
+		recs = append(recs, l.ents[j].rec)
 		keys = append(keys, l.keys[j])
 		watermark = l.seqs[j]
 	}
@@ -261,19 +301,21 @@ func (l *runLog) remove(recs [][]byte) (removed [][]byte) {
 	for _, rec := range recs {
 		want[string(rec)]++
 	}
-	kept := make([][]byte, 0, l.n)
+	kept := make([]*internEntry, 0, l.n)
 	times := make([]int64, 0, l.n)
 	keys := make([]uint64, 0, l.n)
 	seqs := make([]uint64, 0, l.n)
 	for i := 0; i < l.n; i++ {
-		j := (l.head + i) % len(l.recs)
-		rec := l.recs[j]
-		if c := want[string(rec)]; c > 0 {
-			want[string(rec)] = c - 1
-			removed = append(removed, rec)
+		j := l.at(i)
+		e := l.ents[j]
+		if c := want[string(e.rec)]; c > 0 {
+			want[string(e.rec)] = c - 1
+			removed = append(removed, e.rec)
+			l.bytes -= int64(len(e.rec))
+			l.release(e)
 			continue
 		}
-		kept = append(kept, rec)
+		kept = append(kept, e)
 		times = append(times, l.times[j])
 		keys = append(keys, l.keys[j])
 		seqs = append(seqs, l.seqs[j])
@@ -281,14 +323,7 @@ func (l *runLog) remove(recs [][]byte) (removed [][]byte) {
 	if len(removed) == 0 {
 		return nil
 	}
-	for _, rec := range removed {
-		l.release(rec)
-	}
-	l.recs, l.times, l.keys, l.seqs, l.head, l.n = kept, times, keys, seqs, 0, len(kept)
-	l.bytes = 0
-	for _, rec := range kept {
-		l.bytes += int64(len(rec))
-	}
+	l.ents, l.times, l.keys, l.seqs, l.head, l.n = kept, times, keys, seqs, 0, len(kept)
 	l.version++
 	return removed
 }
@@ -309,8 +344,8 @@ func (l *runLog) restore(reports []*report.Report, keys []uint64, now int64) (re
 		}
 		reports = reports[len(reports)-l.cap:]
 	}
-	l.interned = make(map[string]*internEntry)
-	l.recs = make([][]byte, len(reports))
+	l.interned, l.distinct = make(map[uint64]*internEntry), 0
+	l.ents = make([]*internEntry, len(reports))
 	l.times = make([]int64, len(reports))
 	l.keys = make([]uint64, len(reports))
 	l.seqs = make([]uint64, len(reports))
@@ -318,20 +353,21 @@ func (l *runLog) restore(reports []*report.Report, keys []uint64, now int64) (re
 	var scratch []byte
 	for i, r := range reports {
 		scratch = report.AppendRecord(scratch[:0], r)
-		l.recs[i] = l.intern(scratch, false)
+		l.ents[i] = l.intern(scratch)
 		l.times[i] = now
 		if keys != nil {
 			l.keys[i] = keys[i]
 		}
 		l.lastSeq++
 		l.seqs[i] = l.lastSeq
-		l.bytes += int64(len(l.recs[i]))
+		l.bytes += int64(len(scratch))
 	}
 	if l.maxBytes > 0 {
 		for l.bytes > l.maxBytes && l.n > 1 {
-			l.bytes -= int64(len(l.recs[l.head]))
-			l.release(l.recs[l.head])
-			l.recs[l.head] = nil
+			e := l.ents[l.head]
+			l.bytes -= int64(len(e.rec))
+			l.release(e)
+			l.ents[l.head] = nil
 			l.head++
 			l.n--
 		}

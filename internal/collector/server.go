@@ -351,13 +351,16 @@ type Server struct {
 
 	// Recently enqueued client batch ids (X-CBI-Batch-ID), so a retry
 	// of a batch whose ack was lost in transit is not ingested twice.
-	// The value, once the batch has applied, is its runs' encoded
-	// run-log records (nil before apply or after a revoke) — what POST
-	// /v1/revoke uses to surgically remove a batch that a failover
-	// re-routed to another shard.
+	// The value, once the batch has applied, stashes its runs' encoded
+	// run-log records — what POST /v1/revoke uses to surgically remove a
+	// batch that a failover re-routed to another shard. The records are
+	// nil before apply, after a revoke, and once every run of the batch
+	// has left the retained window. stashFIFO lists stashes in the order
+	// they were made, so that last case drops them from its front.
 	dedupMu   sync.Mutex
-	dedupSeen map[string][][]byte
+	dedupSeen map[string]batchStash
 	dedupFIFO []string
+	stashFIFO []stashRef
 
 	srvMu   sync.Mutex
 	httpSrv *http.Server
@@ -422,7 +425,7 @@ func New(cfg Config) (*Server, error) {
 		sem:       make(chan struct{}, cfg.QueueSize),
 		accepting: true,
 		die:       make(chan struct{}),
-		dedupSeen: make(map[string][][]byte),
+		dedupSeen: make(map[string]batchStash),
 		predCache: newPredictorCache(predCacheMax),
 	}
 	if cfg.RunLogSize > 0 && cfg.DeltaHistory >= 0 {
@@ -863,13 +866,14 @@ func (s *Server) applyLoop() {
 					s.cfg.applyHook(r)
 				}
 			}
-			s.agg.ApplyBatch(b.reports, b.recs, b.key, func(recs [][]byte) {
+			s.agg.ApplyBatch(b.reports, b.recs, b.key, func(recs [][]byte, lastSeq uint64) {
 				s.seqs.markApplied(b.seq)
 				if b.id != "" {
-					s.storeBatchRecs(b.id, recs)
+					s.storeBatchRecs(b.id, recs, lastSeq)
 				}
 			})
 			s.reportsApplied.Add(int64(len(b.reports)))
+			s.agg.putEncBuf(b.enc)
 			// Nothing downstream retains the decoded reports — the log
 			// holds interned record bytes, revoke state holds recs — so
 			// the arena buffers can recycle.
@@ -967,6 +971,19 @@ func (s *Server) SnapshotNow() error {
 // a small FIFO window suffices.
 const dedupWindow = 8192
 
+// batchStash is what the dedup window keeps for one applied batch: its
+// runs' canonical records and the run-log sequence of its last run.
+type batchStash struct {
+	recs    [][]byte
+	lastSeq uint64
+}
+
+// stashRef names one stash in stashFIFO.
+type stashRef struct {
+	id      string
+	lastSeq uint64
+}
+
 // rememberBatch records a client batch id and reports whether it was
 // already seen — i.e. this POST is a retry of a batch the server
 // enqueued but whose ack was lost. Old ids age out FIFO.
@@ -976,7 +993,7 @@ func (s *Server) rememberBatch(id string) (dup bool) {
 	if _, ok := s.dedupSeen[id]; ok {
 		return true
 	}
-	s.dedupSeen[id] = nil
+	s.dedupSeen[id] = batchStash{}
 	s.dedupFIFO = append(s.dedupFIFO, id)
 	if len(s.dedupFIFO) > dedupWindow {
 		delete(s.dedupSeen, s.dedupFIFO[0])
@@ -987,27 +1004,42 @@ func (s *Server) rememberBatch(id string) (dup bool) {
 
 // storeBatchRecs attaches a just-applied batch's encoded run records to
 // its remembered id, making the batch revocable (POST /v1/revoke). A
-// no-op if the id has already aged out of the dedup window.
-func (s *Server) storeBatchRecs(id string, recs [][]byte) {
+// no-op if the id has already aged out of the dedup window. lastSeq is
+// the run-log sequence of the batch's last run: once the window's
+// oldest run is past it, every run of the batch has been evicted or
+// removed, a revoke could only hit a look-alike run of a later batch,
+// and the stash is dropped (the id stays, for dedup). That bounds the
+// stashed records by the retained window instead of the dedup window.
+func (s *Server) storeBatchRecs(id string, recs [][]byte, lastSeq uint64) {
+	oldest := s.agg.OldestSeq()
 	s.dedupMu.Lock()
-	if _, ok := s.dedupSeen[id]; ok {
-		s.dedupSeen[id] = recs
+	defer s.dedupMu.Unlock()
+	if _, ok := s.dedupSeen[id]; ok && len(recs) > 0 {
+		s.dedupSeen[id] = batchStash{recs: recs, lastSeq: lastSeq}
+		s.stashFIFO = append(s.stashFIFO, stashRef{id: id, lastSeq: lastSeq})
 	}
-	s.dedupMu.Unlock()
+	for len(s.stashFIFO) > 0 && s.stashFIFO[0].lastSeq < oldest {
+		ref := s.stashFIFO[0]
+		if st, ok := s.dedupSeen[ref.id]; ok && st.lastSeq == ref.lastSeq {
+			s.dedupSeen[ref.id] = batchStash{}
+		}
+		s.stashFIFO = s.stashFIFO[1:]
+	}
 }
 
 // takeBatchRecs detaches and returns a batch's stored run records (nil
-// if unknown or already revoked). It only touches dedupMu — callers
-// remove the runs from the aggregate afterwards, never while holding
-// it, so the worker's aggregate-then-dedup lock order can't deadlock.
+// if unknown, already revoked, or out of the window). It only touches
+// dedupMu — callers remove the runs from the aggregate afterwards,
+// never while holding it, so the worker's aggregate-then-dedup lock
+// order can't deadlock.
 func (s *Server) takeBatchRecs(id string) [][]byte {
 	s.dedupMu.Lock()
 	defer s.dedupMu.Unlock()
-	recs := s.dedupSeen[id]
-	if recs != nil {
-		s.dedupSeen[id] = nil
+	st, ok := s.dedupSeen[id]
+	if ok && st.recs != nil {
+		s.dedupSeen[id] = batchStash{}
 	}
-	return recs
+	return st.recs
 }
 
 // forgetBatch drops an id recorded by rememberBatch when the batch was
@@ -1242,7 +1274,8 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	}
 	b := &ingestBatch{id: batchID, key: batchKey(r, batchID), reports: set.Reports, lease: lease}
 	if s.cfg.WALPath != "" {
-		b.recs = encodeReports(set.Reports)
+		b.enc = s.agg.getEncBuf()
+		b.recs = encodeReports(b.enc, set.Reports)
 		kind := byte(corpus.WALBatch)
 		if b.key != corpus.NoKey {
 			kind = corpus.WALKeyedBatch
@@ -1256,6 +1289,7 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 			}
 			s.cfg.Logf("collector: WAL append: %v", err)
 			http.Error(w, "write-ahead log append failed", http.StatusInternalServerError)
+			s.agg.putEncBuf(b.enc)
 			lease.Release()
 			return
 		}
@@ -1361,13 +1395,13 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.agg.MergeSegment(snap, set.Reports, keys, func(recs [][]byte) {
+	s.agg.MergeSegment(snap, set.Reports, keys, func(recs [][]byte, lastSeq uint64) {
 		s.seqs.markApplied(seq)
 		if batchID != "" {
 			// Stash the joined records so the merge is revocable — the
 			// repair path when a migration chunk's source crashes between
 			// delivery and its evict confirmation.
-			s.storeBatchRecs(batchID, recs)
+			s.storeBatchRecs(batchID, recs, lastSeq)
 		}
 	})
 	s.acceptMu.RUnlock()

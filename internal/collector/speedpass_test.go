@@ -19,7 +19,10 @@ import (
 // in-process API and as HTTP binary batches through the arena decoder
 // must yield byte-identical /v1/scores, /v1/predictors, and snapshot
 // files. Run under -race in CI so the pooled workspaces and atomic
-// counters are exercised with the detector on.
+// counters are exercised with the detector on. Both servers run one
+// apply worker: the server acks a batch on enqueue, so with several
+// workers two consecutive batches can fold in swapped order, and the
+// byte-identical run-log check needs a defined order.
 func TestSpeedPassEquivalence(t *testing.T) {
 	res := testCorpus(t)
 	in := res.CoreInput()
@@ -27,6 +30,7 @@ func TestSpeedPassEquivalence(t *testing.T) {
 	newSrv := func(name string) (*Server, string) {
 		t.Helper()
 		cfg := serverConfig(t)
+		cfg.Workers = 1
 		cfg.SnapshotPath = filepath.Join(t.TempDir(), name+".snap")
 		srv, err := New(cfg)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -21,20 +22,48 @@ const maxDeltaHistBytes = 32 << 20
 // maxRevokeIDs bounds one POST /v1/revoke request.
 const maxRevokeIDs = 1 << 14
 
-// ingestBatch is one queued unit of ingest work: the client batch id
-// (for dedup/revoke bookkeeping), the WAL sequence its durable record
-// carries (0 when the WAL is disabled), and the decoded reports.
-// encodeReports produces each report's run-log record. The same bytes
-// serve as the WAL batch payload and, index-aligned, as the aggregate's
-// pre-encoded records — one encoding pass for both consumers.
-func encodeReports(reports []*report.Report) [][]byte {
+// encodeReports encodes each report's run-log record back to back into
+// *buf, growing it once to the batch's worst case, and returns the
+// records, which alias it. The same bytes serve as the WAL batch
+// payload and, index-aligned, as the aggregate's pre-encoded records —
+// one encoding pass for both consumers. The run log retains exact-length
+// copies, so *buf is scratch again once the batch has applied.
+func encodeReports(buf *[]byte, reports []*report.Report) [][]byte {
+	need := 0
+	for _, r := range reports {
+		need += report.MaxRecordLen(r)
+	}
+	b := slices.Grow((*buf)[:0], need)
 	recs := make([][]byte, len(reports))
 	for i, r := range reports {
-		recs[i] = report.AppendRecord(nil, r)
+		start := len(b)
+		b = report.AppendRecord(b, r)
+		recs[i] = b[start:len(b):len(b)]
 	}
+	*buf = b
 	return recs
 }
 
+// compactRecords copies records into one exact-length buffer, so a
+// long-lived holder pins none of the encode buffer's worst-case slack.
+func compactRecords(recs [][]byte) [][]byte {
+	n := 0
+	for _, r := range recs {
+		n += len(r)
+	}
+	buf := make([]byte, 0, n)
+	out := make([][]byte, len(recs))
+	for i, r := range recs {
+		start := len(buf)
+		buf = append(buf, r...)
+		out[i] = buf[start:len(buf):len(buf)]
+	}
+	return out
+}
+
+// ingestBatch is one queued unit of ingest work: the client batch id
+// (for dedup/revoke bookkeeping), the WAL sequence its durable record
+// carries (0 when the WAL is disabled), and the decoded reports.
 type ingestBatch struct {
 	id      string
 	seq     uint64
@@ -44,8 +73,10 @@ type ingestBatch struct {
 	key uint64
 	// recs holds each report's AppendRecord encoding when the WAL path
 	// already produced it (the WAL payload reuses the same bytes), so
-	// the apply worker doesn't encode the batch a second time.
+	// the apply worker doesn't encode the batch a second time. enc is
+	// the pooled buffer recs alias; the worker recycles it after apply.
 	recs [][]byte
+	enc  *[]byte
 	// lease owns the arena buffers backing reports when the batch
 	// arrived via the binary HTTP codec (nil otherwise); the apply
 	// worker releases it after the batch is folded in.
@@ -302,28 +333,30 @@ func (s *Server) applyWALRecord(rec *corpus.WALRecord) {
 			s.rememberBatch(rec.BatchID)
 		}
 		if !covered {
-			s.agg.ApplyBatch(rec.Reports, nil, rec.Key, func(recs [][]byte) {
+			s.agg.ApplyBatch(rec.Reports, nil, rec.Key, func(recs [][]byte, lastSeq uint64) {
 				s.seqs.markApplied(rec.Seq)
 				if rec.BatchID != "" {
-					s.storeBatchRecs(rec.BatchID, recs)
+					s.storeBatchRecs(rec.BatchID, recs, lastSeq)
 				}
 			})
 			s.walReplayed.Add(1)
 		} else if rec.BatchID != "" {
 			// Already in the checkpoint; rebuild the revoke records so a
-			// failover repair arriving after the restart still works.
-			recs := encodeReports(rec.Reports)
-			s.storeBatchRecs(rec.BatchID, recs)
+			// failover repair arriving after the restart still works. The
+			// batch's runs sit somewhere in the restored window, so the
+			// newest sequence bounds their last.
+			recs := compactRecords(encodeReports(new([]byte), rec.Reports))
+			s.storeBatchRecs(rec.BatchID, recs, s.agg.LogSeq())
 		}
 	case corpus.WALMerge:
 		if rec.BatchID != "" {
 			s.rememberBatch(rec.BatchID)
 		}
 		if !covered {
-			s.agg.MergeSegment(rec.Snap, rec.Reports, rec.Keys, func(recs [][]byte) {
+			s.agg.MergeSegment(rec.Snap, rec.Reports, rec.Keys, func(recs [][]byte, lastSeq uint64) {
 				s.seqs.markApplied(rec.Seq)
 				if rec.BatchID != "" {
-					s.storeBatchRecs(rec.BatchID, recs)
+					s.storeBatchRecs(rec.BatchID, recs, lastSeq)
 				}
 			})
 			s.walReplayed.Add(1)
@@ -334,7 +367,7 @@ func (s *Server) applyWALRecord(rec *corpus.WALRecord) {
 		// replayed evict) already dropped are simply not found, so the
 		// replay is idempotent and coverage marks are advisory.
 		if !covered {
-			if removed := s.agg.RemoveRecords(encodeReports(rec.Reports)); len(removed) > 0 {
+			if removed := s.agg.RemoveRecords(encodeReports(new([]byte), rec.Reports)); len(removed) > 0 {
 				s.migrateEvicted.Add(int64(len(removed)))
 			}
 			s.seqs.markApplied(rec.Seq)
@@ -508,7 +541,9 @@ func (s *Server) IngestBatch(id string, reports []*report.Report) error {
 	var seq uint64
 	var encoded [][]byte
 	if s.cfg.WALPath != "" {
-		encoded = encodeReports(reports)
+		enc := s.agg.getEncBuf()
+		defer s.agg.putEncBuf(enc)
+		encoded = encodeReports(enc, reports)
 		var err error
 		seq, err = s.walAppend(&corpus.WALRecord{Kind: corpus.WALBatch, BatchID: id, Recs: encoded})
 		if err != nil {
@@ -519,10 +554,10 @@ func (s *Server) IngestBatch(id string, reports []*report.Report) error {
 		}
 	}
 	s.reportsEnqueued.Add(int64(len(reports)))
-	s.agg.ApplyBatch(reports, encoded, corpus.NoKey, func(recs [][]byte) {
+	s.agg.ApplyBatch(reports, encoded, corpus.NoKey, func(recs [][]byte, lastSeq uint64) {
 		s.seqs.markApplied(seq)
 		if id != "" {
-			s.storeBatchRecs(id, recs)
+			s.storeBatchRecs(id, recs, lastSeq)
 		}
 	})
 	s.reportsApplied.Add(int64(len(reports)))

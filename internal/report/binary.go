@@ -20,12 +20,14 @@
 // AppendRecord/ReadRecord: the collector's run-level membership log
 // stores each retained run as exactly one such record (fuzz-verified by
 // FuzzRunLogRoundTrip), so the wire format and the run log cannot
-// drift apart.
+// drift apart. RecordIDs decodes a record's id lists straight from its
+// bytes, for folding them without building a Report.
 package report
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -82,8 +84,7 @@ func AppendRecord(dst []byte, r *Report) []byte {
 	// index: this encoder is the per-report ingest hot path, and the
 	// per-varint append-through-a-scratch-buffer it replaced was the
 	// single biggest CPU sink in the fold.
-	need := 1 + 2*binary.MaxVarintLen64 +
-		binary.MaxVarintLen32*(len(r.ObservedSites)+len(r.TruePreds))
+	need := MaxRecordLen(r)
 	if cap(dst)-len(dst) < need {
 		grown := make([]byte, len(dst), len(dst)+need)
 		copy(grown, dst)
@@ -112,6 +113,13 @@ func AppendRecord(dst []byte, r *Report) []byte {
 	return buf[:n]
 }
 
+// MaxRecordLen bounds the length of r's AppendRecord encoding: the
+// capacity AppendRecord needs free in dst to encode without growing it.
+func MaxRecordLen(r *Report) int {
+	return 1 + 2*binary.MaxVarintLen64 +
+		binary.MaxVarintLen32*(len(r.ObservedSites)+len(r.TruePreds))
+}
+
 // ReadRecord decodes one record written by AppendRecord, validating the
 // same invariants as UnmarshalBinary: known flags, strictly ascending
 // id lists, every id inside [0, numSites) / [0, numPreds). It is safe
@@ -134,6 +142,99 @@ func ReadRecord(br io.ByteReader, numSites, numPreds int) (*Report, error) {
 		return nil, fmt.Errorf("report: record preds: %v", err)
 	}
 	return rep, nil
+}
+
+// RecordIDs is one record's id lists decoded straight from its bytes
+// into reusable storage, for callers that fold a record's ids without
+// building a Report — the collector un-counts evicted runs this way.
+// Sites and Preds alias a buffer that the next Decode overwrites.
+type RecordIDs struct {
+	Failed       bool
+	Sites, Preds []int32
+	buf          []int32
+}
+
+// Decode parses the record at the front of rec, validating exactly what
+// ReadRecord validates (FuzzRecordWalk checks that the two accept the
+// same inputs and yield the same ids), and returns how many bytes the
+// record took. Once its buffer has grown to the largest record seen,
+// Decode allocates nothing.
+func (d *RecordIDs) Decode(rec []byte, numSites, numPreds int) (int, error) {
+	if len(rec) == 0 {
+		return 0, fmt.Errorf("report: record flags: %v", io.EOF)
+	}
+	if rec[0] > 1 {
+		return 0, fmt.Errorf("report: record: unknown flags %#x", rec[0])
+	}
+	ids, n, err := walkDeltaList(d.buf[:0], rec, 1, numSites)
+	if err != nil {
+		return 0, fmt.Errorf("report: record sites: %v", err)
+	}
+	nSites := len(ids)
+	if ids, n, err = walkDeltaList(ids, rec, n, numPreds); err != nil {
+		return 0, fmt.Errorf("report: record preds: %v", err)
+	}
+	d.buf = ids
+	d.Failed = rec[0]&1 != 0
+	d.Sites, d.Preds = ids[:nSites:nSites], ids[nSites:]
+	return n, nil
+}
+
+// walkDeltaList is appendDeltaList over a byte slice: it decodes the
+// length-prefixed list at rec[pos:] onto dst with the same validation
+// and returns the position just past it.
+func walkDeltaList(dst []int32, rec []byte, pos, dim int) ([]int32, int, error) {
+	n, k := binary.Uvarint(rec[pos:])
+	if k <= 0 {
+		return dst, pos, uvarintErr(k)
+	}
+	pos += k
+	if n > uint64(dim) {
+		return dst, pos, fmt.Errorf("list length %d exceeds dimension %d", n, dim)
+	}
+	// Every entry takes at least one byte, so a length the remaining
+	// bytes cannot hold fails before the buffer grows for it.
+	if n > uint64(len(rec)-pos) {
+		return dst, pos, io.ErrUnexpectedEOF
+	}
+	prev := int64(-1)
+	for i := 0; i < int(n); i++ {
+		var d uint64
+		if pos < len(rec) && rec[pos] < 0x80 {
+			d = uint64(rec[pos])
+			pos++
+		} else {
+			if d, k = binary.Uvarint(rec[pos:]); k <= 0 {
+				return dst, pos, uvarintErr(k)
+			}
+			pos += k
+		}
+		if d > uint64(dim) {
+			return dst, pos, fmt.Errorf("id delta %d out of range [0,%d)", d, dim)
+		}
+		v := int64(d)
+		if prev >= 0 {
+			if d == 0 {
+				return dst, pos, fmt.Errorf("non-ascending entry at index %d", i)
+			}
+			v += prev
+		}
+		if v >= int64(dim) {
+			return dst, pos, fmt.Errorf("id %d out of range [0,%d)", v, dim)
+		}
+		dst = append(dst, int32(v))
+		prev = v
+	}
+	return dst, pos, nil
+}
+
+// uvarintErr turns binary.Uvarint's failure count into an error: 0 is
+// a truncated varint, negative one that overflows 64 bits.
+func uvarintErr(k int) error {
+	if k == 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return errors.New("binary: varint overflows a 64-bit integer")
 }
 
 // UnmarshalBinary parses a set written by MarshalBinary. It is safe on

@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -95,6 +96,45 @@ func FuzzRunLogRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(AppendRecord(nil, again), enc) {
 			t.Fatalf("record round trip not stable:\nfirst:  %x\nsecond: %x", enc, AppendRecord(nil, again))
+		}
+	})
+}
+
+// FuzzRecordWalk checks RecordIDs.Decode, the byte walker the
+// collector un-counts evicted runs with, against ReadRecord: on
+// arbitrary input the two accept exactly the same records, yield the
+// same outcome and id lists, and consume the same bytes — so eviction
+// subtracts precisely what the decode-and-bump path would have.
+func FuzzRecordWalk(f *testing.F) {
+	for _, set := range fuzzSeeds() {
+		for _, r := range set.Reports {
+			f.Add(uint32(set.NumSites), uint32(set.NumPreds), AppendRecord(nil, r))
+		}
+	}
+	f.Add(uint32(10), uint32(10), []byte{0x01, 0x02, 0x00, 0x03, 0x01, 0x04, 0x7f})
+	f.Add(uint32(1<<20), uint32(300), []byte{0x00, 0x02, 0x81, 0x01, 0xff, 0x7f, 0x01, 0xab, 0x02})
+	f.Add(uint32(1<<30), uint32(1<<30), []byte{0x00, 0xff, 0xff, 0xff, 0xff, 0x03})
+	var walk RecordIDs
+	f.Fuzz(func(t *testing.T, numSites, numPreds uint32, data []byte) {
+		if numSites > maxDim || numPreds > maxDim {
+			t.Skip()
+		}
+		br := bytes.NewReader(data)
+		rec, rerr := ReadRecord(br, int(numSites), int(numPreds))
+		n, werr := walk.Decode(data, int(numSites), int(numPreds))
+		if (rerr == nil) != (werr == nil) {
+			t.Fatalf("ReadRecord err=%v, walker err=%v on %x", rerr, werr, data)
+		}
+		if rerr != nil {
+			return
+		}
+		if used := len(data) - br.Len(); n != used {
+			t.Fatalf("walker consumed %d bytes, ReadRecord %d", n, used)
+		}
+		if walk.Failed != rec.Failed ||
+			!slices.Equal(walk.Sites, rec.ObservedSites) || !slices.Equal(walk.Preds, rec.TruePreds) {
+			t.Fatalf("walker ids differ:\nwalk:   %v %v %v\nreport: %v %v %v",
+				walk.Failed, walk.Sites, walk.Preds, rec.Failed, rec.ObservedSites, rec.TruePreds)
 		}
 	})
 }

@@ -13,6 +13,11 @@
 // artifact (if any) is read first and the new entry appended; without
 // it the file is overwritten with a single-entry trajectory.
 //
+// Repeated result lines for one benchmark (`go test -count=N`) collapse
+// into a single record holding the median of each metric, with the
+// number of trials alongside, so an entry reflects the middle trial
+// rather than whichever ran last.
+//
 // With -gate-allocs N the new entry is first compared against the
 // latest trajectory entry recording each benchmark: any benchmark
 // whose allocs/op regressed by more than N percent fails the run
@@ -47,6 +52,9 @@ type Benchmark struct {
 	// Metrics holds every other reported unit (MB/s, B/op, allocs/op,
 	// custom b.ReportMetric units like reports/op).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Trials is how many result lines were collapsed into this record's
+	// medians (omitted for a single trial).
+	Trials int `json:"trials,omitempty"`
 }
 
 // Entry is one trajectory record: the machine context `go test` printed
@@ -90,14 +98,64 @@ func parse(r io.Reader) (*Entry, error) {
 	if len(e.Benchmarks) == 0 {
 		return nil, errors.New("no benchmark result lines on stdin")
 	}
-	sort.Slice(e.Benchmarks, func(i, j int) bool {
+	sort.SliceStable(e.Benchmarks, func(i, j int) bool {
 		a, b := e.Benchmarks[i], e.Benchmarks[j]
 		if a.Pkg != b.Pkg {
 			return a.Pkg < b.Pkg
 		}
 		return a.Name < b.Name
 	})
+	var merged []Benchmark
+	for i := 0; i < len(e.Benchmarks); {
+		j := i + 1
+		for j < len(e.Benchmarks) && e.Benchmarks[j].Pkg == e.Benchmarks[i].Pkg && e.Benchmarks[j].Name == e.Benchmarks[i].Name {
+			j++
+		}
+		merged = append(merged, medianOf(e.Benchmarks[i:j]))
+		i = j
+	}
+	e.Benchmarks = merged
 	return e, nil
+}
+
+// medianOf collapses repeated trials of one benchmark into their
+// per-metric medians.
+func medianOf(trials []Benchmark) Benchmark {
+	if len(trials) == 1 {
+		return trials[0]
+	}
+	pick := func(get func(Benchmark) (float64, bool)) (float64, bool) {
+		var vs []float64
+		for _, t := range trials {
+			if v, ok := get(t); ok {
+				vs = append(vs, v)
+			}
+		}
+		if len(vs) == 0 {
+			return 0, false
+		}
+		sort.Float64s(vs)
+		n := len(vs)
+		if n%2 == 1 {
+			return vs[n/2], true
+		}
+		return (vs[n/2-1] + vs[n/2]) / 2, true
+	}
+	b := trials[0]
+	b.Trials = len(trials)
+	runs, _ := pick(func(t Benchmark) (float64, bool) { return float64(t.Runs), true })
+	b.Runs = int64(runs)
+	b.NsPerOp, _ = pick(func(t Benchmark) (float64, bool) { return t.NsPerOp, true })
+	b.Metrics = nil
+	for unit := range trials[0].Metrics {
+		if v, ok := pick(func(t Benchmark) (float64, bool) { v, ok := t.Metrics[unit]; return v, ok }); ok {
+			if b.Metrics == nil {
+				b.Metrics = map[string]float64{}
+			}
+			b.Metrics[unit] = v
+		}
+	}
+	return b
 }
 
 // parseBench parses `BenchmarkFoo-8  1000  22749 ns/op  1.2 MB/s ...`:
