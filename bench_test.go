@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -351,28 +352,11 @@ func BenchmarkReportEncodeText(b *testing.B) {
 
 // BenchmarkCollectorIngest measures streaming-aggregation throughput:
 // reports/sec folded into the collector's sharded counters from
-// parallel ingesters (the server's apply path minus HTTP).
+// parallel ingesters (the server's apply path minus HTTP), in steady
+// state: the run log is filled to its cap before timing, every timed
+// report evicts one run, and no vector recurs within the window.
 func BenchmarkCollectorIngest(b *testing.B) {
-	res := warm(b, "moss", harness.SampleUniform)
-	in := res.CoreInput()
-	srv, err := collector.New(collector.Config{
-		NumSites: in.Set.NumSites,
-		NumPreds: in.Set.NumPreds,
-		SiteOf:   in.SiteOf,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	reports := in.Set.Reports
-	var next atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			i := next.Add(1)
-			srv.Ingest(reports[int(i)%len(reports)])
-		}
-	})
+	benchIngest(b, collector.Config{})
 }
 
 // BenchmarkCollectorIngestPlanner is BenchmarkCollectorIngest with the
@@ -381,29 +365,94 @@ func BenchmarkCollectorIngest(b *testing.B) {
 // what adaptive sampling costs the hot write path. The gate
 // (TestPlannerIngestOverhead) asserts the answer is "within noise".
 func BenchmarkCollectorIngestPlanner(b *testing.B) {
-	res := warm(b, "moss", harness.SampleUniform)
-	in := res.CoreInput()
-	srv, err := collector.New(collector.Config{
-		NumSites:    in.Set.NumSites,
-		NumPreds:    in.Set.NumPreds,
-		SiteOf:      in.SiteOf,
+	benchIngest(b, collector.Config{
 		PlanEvery:   2 * time.Millisecond,
 		PlanMinRuns: 1,
 		Logf:        func(string, ...any) {},
 	})
+}
+
+// ingestWindow is the run-log cap of the per-report ingest benchmarks:
+// small enough that a window of distinct vectors fills in well under a
+// second, like benchIngestBatch's.
+const ingestWindow = 8192
+
+var (
+	distinctOnce sync.Once
+	distinctPool []*report.Report
+)
+
+func benchIngest(b *testing.B, cfg collector.Config) {
+	res := warm(b, "moss", harness.SampleUniform)
+	in := res.CoreInput()
+	distinctOnce.Do(func() {
+		// Twice the window, cycled: a report recurs only after its
+		// previous copy has been evicted, so every ingest interns a
+		// vector the window does not hold, as a deployment whose runs
+		// rarely repeat would.
+		distinctPool = distinctReports(in.Set.Reports, in.SiteOf, 2*ingestWindow)
+	})
+	cfg.NumSites, cfg.NumPreds, cfg.SiteOf = in.Set.NumSites, in.Set.NumPreds, in.SiteOf
+	cfg.RunLogSize = ingestWindow
+	srv, err := collector.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	reports := in.Set.Reports
+	for _, r := range distinctPool[:ingestWindow] {
+		srv.Ingest(r)
+	}
 	var next atomic.Int64
+	next.Store(ingestWindow - 1)
+	evicted0 := srv.StatsNow().RunLogEvicted
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			i := next.Add(1)
-			srv.Ingest(reports[int(i)%len(reports)])
+			srv.Ingest(distinctPool[int(i)%len(distinctPool)])
 		}
 	})
+	b.StopTimer()
+	b.ReportMetric(float64(srv.StatsNow().RunLogEvicted-evicted0)/float64(b.N), "evicts/report")
+}
+
+// distinctReports derives n reports with pairwise distinct membership
+// vectors from the corpus: report j is corpus report j mod len(corpus)
+// with three of its observed sites dropped, together with those sites'
+// predicates, so each vector is still one a sampled run could report.
+func distinctReports(corpus []*report.Report, siteOf []int32, n int) []*report.Report {
+	rng := rand.New(rand.NewSource(1))
+	seen := make(map[string]bool, n)
+	out := make([]*report.Report, 0, n)
+	var rec []byte
+	for j := 0; len(out) < n; j++ {
+		base := corpus[j%len(corpus)]
+		if len(base.ObservedSites) < 4 {
+			continue
+		}
+		drop := map[int32]bool{}
+		for len(drop) < 3 {
+			drop[base.ObservedSites[rng.Intn(len(base.ObservedSites))]] = true
+		}
+		r := &report.Report{Failed: base.Failed}
+		for _, s := range base.ObservedSites {
+			if !drop[s] {
+				r.ObservedSites = append(r.ObservedSites, s)
+			}
+		}
+		for _, p := range base.TruePreds {
+			if !drop[siteOf[p]] {
+				r.TruePreds = append(r.TruePreds, p)
+			}
+		}
+		rec = report.AppendRecord(rec[:0], r)
+		if seen[string(rec)] {
+			continue
+		}
+		seen[string(rec)] = true
+		out = append(out, r)
+	}
+	return out
 }
 
 // BenchmarkCollectorIngestBatch measures the durable ingest unit — one

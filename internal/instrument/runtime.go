@@ -1,7 +1,7 @@
 package instrument
 
 import (
-	"sort"
+	"slices"
 
 	"cbi/internal/interp"
 	"cbi/internal/lang"
@@ -106,12 +106,18 @@ func (rt *Runtime) markCmps(s *Site, a, b int64) {
 	}
 }
 
-// ScalarAssign implements interp.Observer.
+// ScalarAssign implements interp.Observer. The sampler skips the
+// assignment's whole scalar-pairs group at once and stops at each
+// sampled site; an unsampled assignment costs one group decision.
 func (rt *Runtime) ScalarAssign(id lang.NodeID, newVal, oldVal int64, oldOK bool, read interp.SymReader) {
-	for _, site := range rt.plan.pairSites[id] {
-		if !rt.sampler.Sample(int(site)) {
-			continue
+	sites := rt.plan.pairSites[id]
+	for {
+		i := rt.sampler.SampleGroup(sites)
+		if i == len(sites) {
+			return
 		}
+		site := sites[i]
+		sites = sites[i+1:]
 		s := rt.plan.Sites[site]
 		var partner int64
 		switch s.PairKind {
@@ -177,8 +183,8 @@ func (rt *Runtime) Snapshot(failed bool) *report.Report {
 	}
 	copy(rep.ObservedSites, rt.touchedSites)
 	copy(rep.TruePreds, rt.touchedPreds)
-	sort.Slice(rep.ObservedSites, func(i, j int) bool { return rep.ObservedSites[i] < rep.ObservedSites[j] })
-	sort.Slice(rep.TruePreds, func(i, j int) bool { return rep.TruePreds[i] < rep.TruePreds[j] })
+	slices.Sort(rep.ObservedSites)
+	slices.Sort(rep.TruePreds)
 	return rep
 }
 

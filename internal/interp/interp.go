@@ -14,13 +14,16 @@ type Input struct {
 
 // SymReader lets an Observer read the current value of an int-typed
 // variable during a scalar-assignment event. ok is false if the variable
-// currently holds a non-integer (e.g. corrupted) value.
+// currently holds a non-integer (e.g. corrupted) value. A reader is
+// valid only for the duration of the event it was passed to.
 type SymReader func(sym *lang.Symbol) (val int64, ok bool)
 
-// Observer receives instrumentation events. The interpreter invokes it
-// unconditionally at every event point; sampling happens inside the
-// observer (see the instrument package). A nil Observer disables
-// instrumentation entirely.
+// Observer receives instrumentation events. The interpreter calls it
+// at every event point and leaves sampling to the observer: the
+// instrument package's runtime decides each event, or an assignment's
+// whole scalar-pairs site group, with one sampler countdown check, so
+// an unsampled event costs that check and allocates nothing. A nil
+// Observer disables instrumentation entirely.
 type Observer interface {
 	// Branch fires when a conditional is evaluated: if/while/for
 	// conditions and the implicit conditionals of && and ||.
@@ -74,6 +77,10 @@ type Interp struct {
 	obs   Observer
 	st    *State
 	stack []*frame
+	// read is the SymReader passed with every ScalarAssign event, built
+	// once so that an event allocates nothing; events fire in the top
+	// frame, which it reads.
+	read SymReader
 }
 
 type frame struct {
@@ -103,7 +110,11 @@ type trapPanic struct {
 // New creates an interpreter for prog. The program must have been
 // successfully resolved. obs may be nil.
 func New(prog *lang.Program, obs Observer) *Interp {
-	return &Interp{prog: prog, obs: obs, st: NewState()}
+	in := &Interp{prog: prog, obs: obs, st: NewState()}
+	if obs != nil {
+		in.read = in.readSym
+	}
+	return in
 }
 
 // SetLimits overrides resource limits; zero fields keep defaults.
@@ -225,7 +236,7 @@ func (in *Interp) execStmt(f *frame, s lang.Stmt) control {
 		f.locals[st.Sym.Slot] = v
 		if in.obs != nil && st.Init != nil {
 			if v.Kind == KInt && lang.IsScalar(st.DeclType) {
-				in.obs.ScalarAssign(st.ID(), v.Int, old.Int, old.Kind == KInt, in.symReader(f))
+				in.obs.ScalarAssign(st.ID(), v.Int, old.Int, old.Kind == KInt, in.read)
 			} else if v.Kind == KPtr && lang.IsPointer(st.DeclType) {
 				in.obs.PtrAssign(st.ID(), v.IsNull())
 			}
@@ -385,27 +396,26 @@ func (in *Interp) execAssign(f *frame, st *lang.Assign) {
 	}
 	if in.obs != nil {
 		if v.Kind == KInt && lang.IsScalar(st.LHS.Type()) {
-			in.obs.ScalarAssign(st.ID(), v.Int, old.Int, oldMapped && old.Kind == KInt, in.symReader(f))
+			in.obs.ScalarAssign(st.ID(), v.Int, old.Int, oldMapped && old.Kind == KInt, in.read)
 		} else if v.Kind == KPtr && lang.IsPointer(st.LHS.Type()) {
 			in.obs.PtrAssign(st.ID(), v.IsNull())
 		}
 	}
 }
 
-// symReader returns a SymReader closed over the current frame.
-func (in *Interp) symReader(f *frame) SymReader {
-	return func(sym *lang.Symbol) (int64, bool) {
-		var v Value
-		if sym.Kind == lang.SymGlobal {
-			v = in.st.Globals[sym.Slot]
-		} else {
-			v = f.locals[sym.Slot]
-		}
-		if v.Kind != KInt {
-			return 0, false
-		}
-		return v.Int, true
+// readSym reads int variables of the current frame/globals for the
+// scalar-pairs observer.
+func (in *Interp) readSym(sym *lang.Symbol) (int64, bool) {
+	var v Value
+	if sym.Kind == lang.SymGlobal {
+		v = in.st.Globals[sym.Slot]
+	} else {
+		v = in.stack[len(in.stack)-1].locals[sym.Slot]
 	}
+	if v.Kind != KInt {
+		return 0, false
+	}
+	return v.Int, true
 }
 
 func (in *Interp) evalCond(f *frame, e lang.Expr) bool {

@@ -11,6 +11,13 @@
 // equivalent to independent coin flips. Property tests in this package
 // verify the equivalence empirically.
 //
+// The countdown also makes unsampled stretches cheap, as in the paper's
+// lineage (Liblit et al., PLDI'03): an assignment reaches all of its
+// scalar-pairs sites at once, and SampleGroup decides the whole group
+// with one countdown check when none of it is sampled. It consumes the
+// same decision stream as calling Sample once per site in order, so a
+// run's reports do not depend on which method the runtime calls.
+//
 // Two rate policies are provided:
 //
 //   - Uniform: a single rate (the paper's default 1/100) shared by all
@@ -28,6 +35,12 @@ type Sampler interface {
 	// Sample reports whether the current reach of the given site should
 	// be observed. Sites are identified by dense indices.
 	Sample(site int) bool
+	// SampleGroup consumes the opportunities of the given sites, in
+	// order, up to and including the first one sampled, and returns
+	// that site's index in sites, or len(sites) when none is sampled.
+	// Its decisions and the sampler's state afterwards equal those of
+	// calling Sample for each consumed site.
+	SampleGroup(sites []int32) int
 	// Reset re-seeds the sampler for a new run. Runs with equal seeds
 	// make identical decisions.
 	Reset(seed int64)
@@ -40,6 +53,9 @@ type Always struct{}
 // Sample always returns true.
 func (Always) Sample(int) bool { return true }
 
+// SampleGroup samples the first site, or returns 0 for an empty group.
+func (Always) SampleGroup([]int32) int { return 0 }
+
 // Reset is a no-op.
 func (Always) Reset(int64) {}
 
@@ -48,6 +64,9 @@ type Never struct{}
 
 // Sample always returns false.
 func (Never) Sample(int) bool { return false }
+
+// SampleGroup skips every site.
+func (Never) SampleGroup(sites []int32) int { return len(sites) }
 
 // Reset is a no-op.
 func (Never) Reset(int64) {}
@@ -87,6 +106,19 @@ func (u *Uniform) Sample(int) bool {
 	}
 	u.countdown = nextGeometric(&u.rng, u.rate)
 	return true
+}
+
+// SampleGroup implements Sampler with one compare-and-subtract when the
+// countdown outlasts the group: the countdown-th opportunity from now
+// is the next one sampled.
+func (u *Uniform) SampleGroup(sites []int32) int {
+	if u.countdown > int64(len(sites)) {
+		u.countdown -= int64(len(sites))
+		return len(sites)
+	}
+	i := int(u.countdown - 1)
+	u.countdown = nextGeometric(&u.rng, u.rate)
+	return i
 }
 
 // Nonuniform samples each site at its own rate with per-site countdowns.
@@ -148,6 +180,17 @@ func (n *Nonuniform) Sample(site int) bool {
 	}
 	n.countdowns[site] = nextGeometric(&n.rng, n.rates[site])
 	return true
+}
+
+// SampleGroup implements Sampler by counting down each site's own
+// countdown in order.
+func (n *Nonuniform) SampleGroup(sites []int32) int {
+	for i, site := range sites {
+		if n.Sample(int(site)) {
+			return i
+		}
+	}
+	return len(sites)
 }
 
 // PlanRates converts per-site expected reach counts (from a training

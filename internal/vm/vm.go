@@ -16,6 +16,10 @@ type VM struct {
 	st     *interp.State
 	frames []vframe
 	stack  []Value
+	// read is the SymReader passed with every ScalarAssign event, built
+	// once so that an event allocates nothing; events fire in the top
+	// frame, which it reads.
+	read interp.SymReader
 }
 
 type vframe struct {
@@ -28,7 +32,11 @@ type vframe struct {
 
 // New creates a VM for the module. obs may be nil.
 func New(mod *Module, obs interp.Observer) *VM {
-	return &VM{mod: mod, obs: obs, st: interp.NewState()}
+	vm := &VM{mod: mod, obs: obs, st: interp.NewState()}
+	if obs != nil {
+		vm.read = vm.readSym
+	}
+	return vm
 }
 
 // SetLimits overrides resource limits; zero fields keep defaults.
@@ -105,22 +113,19 @@ func (vm *VM) pushFrame(fnIdx int, args []Value) {
 	})
 }
 
-// symReader reads int variables of the current frame/globals for the
+// readSym reads int variables of the current frame/globals for the
 // scalar-pairs observer.
-func (vm *VM) symReader() interp.SymReader {
-	f := &vm.frames[len(vm.frames)-1]
-	return func(sym *lang.Symbol) (int64, bool) {
-		var v Value
-		if sym.Kind == lang.SymGlobal {
-			v = vm.st.Globals[sym.Slot]
-		} else {
-			v = f.locals[sym.Slot]
-		}
-		if v.Kind != KInt {
-			return 0, false
-		}
-		return v.Int, true
+func (vm *VM) readSym(sym *lang.Symbol) (int64, bool) {
+	var v Value
+	if sym.Kind == lang.SymGlobal {
+		v = vm.st.Globals[sym.Slot]
+	} else {
+		v = vm.frames[len(vm.frames)-1].locals[sym.Slot]
 	}
+	if v.Kind != KInt {
+		return 0, false
+	}
+	return v.Int, true
 }
 
 func (vm *VM) wantInt(v Value, what string) int64 {
@@ -289,7 +294,7 @@ func (vm *VM) exec(fnIdx int, args []Value) Value {
 			if vm.obs != nil {
 				switch {
 				case in.B == 1 && v.Kind == KInt:
-					vm.obs.ScalarAssign(lang.NodeID(in.A), v.Int, old.Int, oldMapped && old.Kind == KInt, vm.symReader())
+					vm.obs.ScalarAssign(lang.NodeID(in.A), v.Int, old.Int, oldMapped && old.Kind == KInt, vm.read)
 				case in.B == 2 && v.Kind == KPtr:
 					vm.obs.PtrAssign(lang.NodeID(in.A), v.IsNull())
 				}
@@ -353,7 +358,7 @@ func (vm *VM) exec(fnIdx int, args []Value) Value {
 				f.locals[in.A] = v
 			}
 			if vm.obs != nil && v.Kind == KInt {
-				vm.obs.ScalarAssign(lang.NodeID(in.C), v.Int, old.Int, old.Kind == KInt, vm.symReader())
+				vm.obs.ScalarAssign(lang.NodeID(in.C), v.Int, old.Int, old.Kind == KInt, vm.read)
 			}
 
 		default:
