@@ -26,6 +26,7 @@ import (
 
 	"cbi/internal/collector"
 	"cbi/internal/core"
+	"cbi/internal/corpus"
 	"cbi/internal/experiments"
 	"cbi/internal/harness"
 	"cbi/internal/instrument"
@@ -382,16 +383,21 @@ var (
 	distinctPool []*report.Report
 )
 
+// distinctWindowPool returns twice ingestWindow pairwise-distinct
+// reports derived from in. Cycled, a report recurs only after its
+// previous copy has been evicted, so every ingest interns a vector the
+// window does not hold, as a deployment whose runs rarely repeat would.
+func distinctWindowPool(in core.Input) []*report.Report {
+	distinctOnce.Do(func() {
+		distinctPool = distinctReports(in.Set.Reports, in.SiteOf, 2*ingestWindow)
+	})
+	return distinctPool
+}
+
 func benchIngest(b *testing.B, cfg collector.Config) {
 	res := warm(b, "moss", harness.SampleUniform)
 	in := res.CoreInput()
-	distinctOnce.Do(func() {
-		// Twice the window, cycled: a report recurs only after its
-		// previous copy has been evicted, so every ingest interns a
-		// vector the window does not hold, as a deployment whose runs
-		// rarely repeat would.
-		distinctPool = distinctReports(in.Set.Reports, in.SiteOf, 2*ingestWindow)
-	})
+	pool := distinctWindowPool(in)
 	cfg.NumSites, cfg.NumPreds, cfg.SiteOf = in.Set.NumSites, in.Set.NumPreds, in.SiteOf
 	cfg.RunLogSize = ingestWindow
 	srv, err := collector.New(cfg)
@@ -399,7 +405,7 @@ func benchIngest(b *testing.B, cfg collector.Config) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	for _, r := range distinctPool[:ingestWindow] {
+	for _, r := range pool[:ingestWindow] {
 		srv.Ingest(r)
 	}
 	var next atomic.Int64
@@ -409,7 +415,7 @@ func benchIngest(b *testing.B, cfg collector.Config) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			i := next.Add(1)
-			srv.Ingest(distinctPool[int(i)%len(distinctPool)])
+			srv.Ingest(pool[int(i)%len(pool)])
 		}
 	})
 	b.StopTimer()
@@ -453,6 +459,120 @@ func distinctReports(corpus []*report.Report, siteOf []int32, n int) []*report.R
 		out = append(out, r)
 	}
 	return out
+}
+
+// stageBatchSize is the batch the per-stage benchmarks time: the
+// 64-report batches clients ship by default.
+const stageBatchSize = 64
+
+// stageBatch returns the first stageBatchSize MOSS corpus reports as a
+// set and its (decompressed) binary wire encoding.
+func stageBatch(b *testing.B) (*report.Set, []byte) {
+	res := warm(b, "moss", harness.SampleUniform)
+	set := &report.Set{NumSites: res.Set.NumSites, NumPreds: res.Set.NumPreds,
+		Reports: res.Set.Reports[:stageBatchSize]}
+	var buf bytes.Buffer
+	if err := set.MarshalBinary(&buf); err != nil {
+		b.Fatal(err)
+	}
+	return set, buf.Bytes()
+}
+
+// BenchmarkCollectorStageDecode is the collector's decode stage: one
+// gunzipped 64-report MOSS batch read into a recycled arena lease and
+// walked in place into reports and record slices.
+func BenchmarkCollectorStageDecode(b *testing.B) {
+	_, data := stageBatch(b)
+	var arena report.Arena
+	rd := bytes.NewReader(data)
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(data)
+		_, lease, err := arena.Decode(rd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lease.Release()
+	}
+	b.StopTimer()
+	b.ReportMetric(stageBatchSize, "reports/op")
+}
+
+// BenchmarkCollectorStageWALAppend is the collector's WAL stage: one
+// keyed 64-report MOSS batch, its records already encoded (as the
+// client's wire bytes are), framed, checksummed and written to a
+// segment file without fsync, as in production. The segment is reset
+// every walStageRotate appends, off the clock, to bound its size.
+func BenchmarkCollectorStageWALAppend(b *testing.B) {
+	set, _ := stageBatch(b)
+	w, err := corpus.CreateWALSegment(filepath.Join(b.TempDir(), "stage.wal.00000001"), set.NumSites, set.NumPreds, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	rec := &corpus.WALRecord{Kind: corpus.WALKeyedBatch, BatchID: "stage-batch", Key: corpus.KeyHash("stage-client")}
+	for _, r := range set.Reports {
+		rec.Recs = append(rec.Recs, report.AppendRecord(nil, r))
+	}
+	const walStageRotate = 256
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%walStageRotate == walStageRotate-1 {
+			b.StopTimer()
+			if err := w.Truncate(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		rec.Seq = uint64(i + 1)
+		if err := w.Append(rec, set.NumSites, set.NumPreds); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(stageBatchSize, "reports/op")
+}
+
+// BenchmarkCollectorStageFold is the collector's apply stage in steady
+// state: 64-report batches through IngestBatch (no WAL) into an
+// ingestWindow-run window pre-filled from benchIngest's distinct-vector
+// pool, cycled so every report evicts one run and misses the intern
+// table — run-log append, eviction, and the batched fold and flush.
+func BenchmarkCollectorStageFold(b *testing.B) {
+	res := warm(b, "moss", harness.SampleUniform)
+	in := res.CoreInput()
+	pool := distinctWindowPool(in)
+	srv, err := collector.New(collector.Config{
+		NumSites: in.Set.NumSites, NumPreds: in.Set.NumPreds, SiteOf: in.SiteOf,
+		RunLogSize: ingestWindow,
+		Logf:       func(string, ...any) {},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	next := 0
+	ingest := func() {
+		if next+stageBatchSize > len(pool) {
+			next = 0
+		}
+		if err := srv.IngestBatch("", pool[next:next+stageBatchSize]); err != nil {
+			b.Fatal(err)
+		}
+		next += stageBatchSize
+	}
+	for i := 0; i < ingestWindow/stageBatchSize; i++ {
+		ingest()
+	}
+	evicted0 := srv.StatsNow().RunLogEvicted
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ingest()
+	}
+	b.StopTimer()
+	b.ReportMetric(stageBatchSize, "reports/op")
+	b.ReportMetric(float64(srv.StatsNow().RunLogEvicted-evicted0)/float64(b.N*stageBatchSize), "evicts/report")
 }
 
 // BenchmarkCollectorIngestBatch measures the durable ingest unit — one

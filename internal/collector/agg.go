@@ -22,7 +22,7 @@ package collector
 import (
 	"bytes"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,9 +313,9 @@ func (a *shardedAgg) Apply(r *report.Report) {
 // for revoke reversal, so a concurrent snapshot can never capture half
 // a batch or a mark without its state. encoded, when non-nil, supplies
 // each report's AppendRecord bytes (index-aligned with reports) so a
-// caller that already encoded the batch — the WAL append path — doesn't
-// pay for it twice; the log copies what it retains, so encoded may be
-// scratch. key is the batch's routing-key hash (corpus.NoKey when
+// caller that already holds them — the client's wire records, or the
+// encoding made for a WAL payload — doesn't pay for encoding again; the
+// log copies what it retains, so encoded may be scratch. key is the batch's routing-key hash (corpus.NoKey when
 // unknown); every run in a batch shares one submitting client and hence
 // one key. recs is nil when retention is disabled.
 func (a *shardedAgg) ApplyBatch(reports []*report.Report, encoded [][]byte, key uint64, after func(recs [][]byte, lastSeq uint64)) {
@@ -396,15 +396,15 @@ func (a *shardedAgg) noteEvicts(n int) {
 }
 
 // foldScratch is the fold's workspace: dense per-id delta arrays (sized
-// to the aggregate's dims on first batched use) plus the lists of ids a
-// fold actually touched, so flushing is proportional to the fold, not
-// the dims; the run-log records the fold un-counts; and the walker that
-// decodes them. Deltas are always back to zero, and evicted empty, when
-// the scratch returns to the pool.
+// to the aggregate's dims on first batched use), one touched bitset per
+// delta array marking the ids a fold actually touched, so flushing
+// visits only those; the run-log records the fold un-counts; and the
+// walker that decodes them. Deltas and bitsets are always back to
+// zero, and evicted empty, when the scratch returns to the pool.
 type foldScratch struct {
 	fSite, sSite, fPred, sPred []int64
-	tfSite, tsSite             []int32
-	tfPred, tsPred             []int32
+	tfSite, tsSite             []uint64
+	tfPred, tsPred             []uint64
 	evicted                    [][]byte
 	ids                        report.RecordIDs
 }
@@ -438,10 +438,14 @@ func (a *shardedAgg) fold(sc *foldScratch, reports []*report.Report) {
 		if len(sc.fSite) < a.numSites {
 			sc.fSite = make([]int64, a.numSites)
 			sc.sSite = make([]int64, a.numSites)
+			sc.tfSite = make([]uint64, (a.numSites+63)/64)
+			sc.tsSite = make([]uint64, (a.numSites+63)/64)
 		}
 		if len(sc.fPred) < a.numPreds {
 			sc.fPred = make([]int64, a.numPreds)
 			sc.sPred = make([]int64, a.numPreds)
+			sc.tfPred = make([]uint64, (a.numPreds+63)/64)
+			sc.tsPred = make([]uint64, (a.numPreds+63)/64)
 		}
 		var nf, ns int64
 		for _, r := range reports {
@@ -465,8 +469,6 @@ func (a *shardedAgg) fold(sc *foldScratch, reports []*report.Report) {
 		flushFold(a.sObsSite, sc.sSite, sc.tsSite, a.siteMu, a.siteBlock)
 		flushFold(a.fPred, sc.fPred, sc.tfPred, a.predMu, a.predBlock)
 		flushFold(a.sPred, sc.sPred, sc.tsPred, a.predMu, a.predBlock)
-		sc.tfSite, sc.tsSite = sc.tfSite[:0], sc.tsSite[:0]
-		sc.tfPred, sc.tsPred = sc.tfPred[:0], sc.tsPred[:0]
 		a.runs.BumpN(nf, ns)
 	}
 	// Drop the record references so a pooled workspace pins nothing.
@@ -486,49 +488,53 @@ func (a *shardedAgg) walk(sc *foldScratch, rec []byte) {
 	}
 }
 
-// add accumulates delta onto one run's ids. Deltas of both signs pass
-// through here, so a slot can return to zero and be touched again; its
-// id then appears twice in the touched list, which flushFold tolerates.
+// add accumulates delta onto one run's ids and marks them touched.
+// Deltas of both signs pass through here, so a slot can return to zero
+// and be touched again; its bit is simply set again.
 func (sc *foldScratch) add(failed bool, sites, preds []int32, delta int64) {
 	site, pred := sc.sSite, sc.sPred
-	touchedS, touchedP := &sc.tsSite, &sc.tsPred
+	touchedS, touchedP := sc.tsSite, sc.tsPred
 	if failed {
 		site, pred = sc.fSite, sc.fPred
-		touchedS, touchedP = &sc.tfSite, &sc.tfPred
+		touchedS, touchedP = sc.tfSite, sc.tfPred
 	}
 	for _, id := range sites {
-		if site[id] == 0 {
-			*touchedS = append(*touchedS, id)
-		}
+		touchedS[id>>6] |= 1 << (id & 63)
 		site[id] += delta
 	}
 	for _, id := range preds {
-		if pred[id] == 0 {
-			*touchedP = append(*touchedP, id)
-		}
+		touchedP[id>>6] |= 1 << (id & 63)
 		pred[id] += delta
 	}
 }
 
-// flushFold lands accumulated deltas with one plain add per touched
-// id under the covering stripe locks, re-zeroing the dense array as it
-// goes. Sorting the touched list first makes the walk take each stripe
-// lock once and touch dst in ascending (cache-friendly) order; it also
-// puts a twice-touched id's entries side by side, and the second adds
-// the zero the first left behind.
-func flushFold(dst, deltas []int64, touched []int32, mus []stripeMutex, block int) {
-	slices.Sort(touched)
-	i := 0
-	for i < len(touched) {
-		s := int(touched[i]) / block
-		hi := int32((s + 1) * block)
-		mus[s].Lock()
-		for i < len(touched) && touched[i] < hi {
-			id := touched[i]
+// flushFold lands accumulated deltas with one plain add per touched id
+// under the covering stripe locks, re-zeroing the delta array and the
+// touched bitset as it goes. The set bits come out in ascending id
+// order, so the walk takes each stripe lock once and touches dst in
+// cache-friendly order; an id touched twice is one bit, flushed once.
+func flushFold(dst, deltas []int64, touched []uint64, mus []stripeMutex, block int) {
+	s, hi := -1, 0
+	for w, word := range touched {
+		if word == 0 {
+			continue
+		}
+		touched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			if id >= hi {
+				if s >= 0 {
+					mus[s].Unlock()
+				}
+				s = id / block
+				hi = (s + 1) * block
+				mus[s].Lock()
+			}
 			dst[id] += deltas[id]
 			deltas[id] = 0
-			i++
 		}
+	}
+	if s >= 0 {
 		mus[s].Unlock()
 	}
 }

@@ -201,14 +201,12 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	if !s.authorize(w, r) {
 		return
 	}
-	reader, closer, ok := s.postBodyReader(w, r)
+	reader, gz, ok := s.postBodyReader(w, r)
 	if !ok {
 		return
 	}
-	if closer != nil {
-		defer closer.Close()
-	}
 	snap, set, _, err := corpus.ReadMergeSegmentKeyed(reader)
+	s.putGunzip(gz)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad evict chunk: %v", err), http.StatusBadRequest)
 		return
@@ -276,14 +274,12 @@ func (s *Server) handleResidual(w http.ResponseWriter, r *http.Request) {
 		if !s.authorize(w, r) {
 			return
 		}
-		reader, closer, ok := s.postBodyReader(w, r)
+		reader, gz, ok := s.postBodyReader(w, r)
 		if !ok {
 			return
 		}
-		if closer != nil {
-			defer closer.Close()
-		}
 		snap, _, err := corpus.ReadMergeSegment(reader)
+		s.putGunzip(gz)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("bad residual segment: %v", err), http.StatusBadRequest)
 			return

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"context"
 	"crypto/subtle"
@@ -348,6 +349,8 @@ type Server struct {
 	// requests; a batch's lease is released after the apply workers fold
 	// it in.
 	arena report.Arena
+	// gunzips recycles gzip readers across write-endpoint bodies.
+	gunzips sync.Pool
 
 	// Recently enqueued client batch ids (X-CBI-Batch-ID), so a retry
 	// of a batch whose ack was lost in transit is not ingested twice.
@@ -873,10 +876,9 @@ func (s *Server) applyLoop() {
 				}
 			})
 			s.reportsApplied.Add(int64(len(b.reports)))
-			s.agg.putEncBuf(b.enc)
-			// Nothing downstream retains the decoded reports — the log
-			// holds interned record bytes, revoke state holds recs — so
-			// the arena buffers can recycle.
+			// Nothing downstream retains the decoded reports or their
+			// wire records — the log and revoke state hold their own
+			// copies — so the arena buffers can recycle.
 			b.lease.Release()
 		}
 	}
@@ -1160,24 +1162,44 @@ func batchKey(r *http.Request, batchID string) uint64 {
 const maxBatchBytes = 64 << 20
 
 // postBodyReader wraps a write-endpoint request body: size-bounded,
-// transparently gunzipped per Content-Encoding. On a bad gzip header it
-// writes the 400 itself and returns ok=false. closer must be closed by
-// the caller when non-nil.
-func (s *Server) postBodyReader(w http.ResponseWriter, r *http.Request) (reader *bufio.Reader, closer io.Closer, ok bool) {
+// transparently gunzipped per Content-Encoding through a pooled
+// gunzipper. On a bad gzip header it writes the 400 itself and returns
+// ok=false. A non-nil gz must be handed back with putGunzip once the
+// body has been read.
+func (s *Server) postBodyReader(w http.ResponseWriter, r *http.Request) (reader io.Reader, gz *gunzipper, ok bool) {
 	body := http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	reader = bufio.NewReader(body)
-	if r.Header.Get("Content-Encoding") == "gzip" {
-		gz, err := gzip.NewReader(reader)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad gzip body: %v", err), http.StatusBadRequest)
-			return nil, nil, false
-		}
-		// Bound the decompressed size too, so a gzip bomb cannot smuggle
-		// an oversized batch past MaxBytesReader; a truncated stream
-		// fails decoding with 400.
-		return bufio.NewReader(io.LimitReader(gz, maxBatchBytes)), gz, true
+	if r.Header.Get("Content-Encoding") != "gzip" {
+		return body, nil, true
 	}
-	return reader, nil, true
+	gz, _ = s.gunzips.Get().(*gunzipper)
+	if gz == nil {
+		gz = &gunzipper{br: bufio.NewReader(nil)}
+	}
+	gz.br.Reset(body)
+	if err := gz.zr.Reset(gz.br); err != nil {
+		s.putGunzip(gz)
+		http.Error(w, fmt.Sprintf("bad gzip body: %v", err), http.StatusBadRequest)
+		return nil, nil, false
+	}
+	// Bound the decompressed size too, so a gzip bomb cannot smuggle
+	// an oversized batch past MaxBytesReader; a truncated stream
+	// fails decoding with 400.
+	return io.LimitReader(&gz.zr, maxBatchBytes), gz, true
+}
+
+// gunzipper is a pooled gzip reader with the byte reader it pulls the
+// compressed body through, so neither is rebuilt per request.
+type gunzipper struct {
+	br *bufio.Reader
+	zr gzip.Reader
+}
+
+// putGunzip recycles a gunzipper from postBodyReader (nil is a no-op).
+func (s *Server) putGunzip(gz *gunzipper) {
+	if gz != nil {
+		gz.br.Reset(nil)
+		s.gunzips.Put(gz)
+	}
 }
 
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
@@ -1191,32 +1213,40 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	if !s.rateLimit(w, r) {
 		return
 	}
-	reader, closer, ok := s.postBodyReader(w, r)
+	reader, gz, ok := s.postBodyReader(w, r)
 	if !ok {
 		return
 	}
-	if closer != nil {
-		defer closer.Close()
-	}
 	// Accept both codecs, sniffed by magic: "CBR1" (binary wire format)
-	// or the "cbi-reports" text header. Binary batches — the hot path —
-	// decode through the pooled arena; the lease travels with the batch
-	// and is released once the apply workers have folded it in. Every
-	// pre-enqueue exit must release it instead.
-	magic, err := reader.Peek(4)
+	// or the "cbi-reports" text header. The whole body lands in an arena
+	// lease; binary batches — the hot path — decode from it in place.
+	// The lease travels with the batch and is released once the apply
+	// workers have folded it in. Every pre-enqueue exit must release it
+	// instead.
+	lease, err := s.arena.Read(reader)
+	s.putGunzip(gz)
 	if err != nil {
+		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
+		lease.Release()
+		return
+	}
+	body := lease.Body()
+	if len(body) < 4 {
 		http.Error(w, "empty body", http.StatusBadRequest)
+		lease.Release()
 		return
 	}
 	var set *report.Set
-	var lease *report.Lease
-	if string(magic) == "CBR1" {
-		set, lease, err = s.arena.Decode(reader)
+	var recs [][]byte
+	if string(body[:4]) == "CBR1" {
+		set, err = lease.Decode()
+		recs = lease.Records()
 	} else {
-		set, err = report.Unmarshal(reader)
+		set, err = report.Unmarshal(bytes.NewReader(body))
 	}
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
+		lease.Release()
 		return
 	}
 	if set.NumSites != s.cfg.NumSites || set.NumPreds != s.cfg.NumPreds {
@@ -1272,10 +1302,12 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		lease.Release()
 		return
 	}
-	b := &ingestBatch{id: batchID, key: batchKey(r, batchID), reports: set.Reports, lease: lease}
+	b := &ingestBatch{id: batchID, key: batchKey(r, batchID), reports: set.Reports, recs: recs, lease: lease}
 	if s.cfg.WALPath != "" {
-		b.enc = s.agg.getEncBuf()
-		b.recs = encodeReports(b.enc, set.Reports)
+		if b.recs == nil {
+			// A text batch has no wire records to reuse.
+			b.recs = encodeReports(new([]byte), set.Reports)
+		}
 		kind := byte(corpus.WALBatch)
 		if b.key != corpus.NoKey {
 			kind = corpus.WALKeyedBatch
@@ -1289,7 +1321,6 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 			}
 			s.cfg.Logf("collector: WAL append: %v", err)
 			http.Error(w, "write-ahead log append failed", http.StatusInternalServerError)
-			s.agg.putEncBuf(b.enc)
 			lease.Release()
 			return
 		}
@@ -1340,14 +1371,12 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if !s.rateLimit(w, r) {
 		return
 	}
-	reader, closer, ok := s.postBodyReader(w, r)
+	reader, gz, ok := s.postBodyReader(w, r)
 	if !ok {
 		return
 	}
-	if closer != nil {
-		defer closer.Close()
-	}
 	snap, set, keys, err := corpus.ReadMergeSegmentKeyed(reader)
+	s.putGunzip(gz)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad merge segment: %v", err), http.StatusBadRequest)
 		return

@@ -354,7 +354,14 @@ func TestBackpressure429(t *testing.T) {
 	cfg.QueueSize = 2
 	cfg.Workers = 1
 	gate := make(chan struct{})
-	cfg.applyHook = func(*report.Report) { <-gate }
+	wedged := make(chan struct{}, 1)
+	cfg.applyHook = func(*report.Report) {
+		select {
+		case wedged <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
 
 	srv, err := New(cfg)
 	if err != nil {
@@ -573,7 +580,14 @@ func TestBatchDedupNotClaimedOn429(t *testing.T) {
 	cfg.QueueSize = 1
 	cfg.Workers = 1
 	gate := make(chan struct{})
-	cfg.applyHook = func(*report.Report) { <-gate }
+	wedged := make(chan struct{}, 1)
+	cfg.applyHook = func(*report.Report) {
+		select {
+		case wedged <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
 
 	srv, err := New(cfg)
 	if err != nil {
@@ -597,7 +611,13 @@ func TestBatchDedupNotClaimedOn429(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	// Wedge the pipeline until "retry-me" bounces with 429.
+	// Wedge the pipeline until "retry-me" bounces with 429. The worker
+	// must hold the first batch before the queue is filled: a batch it
+	// dequeues later would free the slot "retry-me" is meant to miss.
+	if got, _ := post("fill-wedge"); got != http.StatusAccepted {
+		t.Fatalf("first batch: status %d", got)
+	}
+	<-wedged
 	saw429 := false
 	for i := 0; i < 50 && !saw429; i++ {
 		if got, _ := post(fmt.Sprintf("fill-%d", i)); got == http.StatusTooManyRequests {

@@ -71,15 +71,14 @@ type ingestBatch struct {
 	// key is the batch's routing-key hash (corpus.NoKey when unknown);
 	// every run in a batch shares one submitting client, hence one key.
 	key uint64
-	// recs holds each report's AppendRecord encoding when the WAL path
-	// already produced it (the WAL payload reuses the same bytes), so
-	// the apply worker doesn't encode the batch a second time. enc is
-	// the pooled buffer recs alias; the worker recycles it after apply.
+	// recs holds each report's AppendRecord encoding: the client's own
+	// record bytes for a binary batch, or an encoding made for the WAL
+	// payload of a text one (nil without a WAL). The WAL append and the
+	// apply worker both use them, so nothing re-encodes the batch.
 	recs [][]byte
-	enc  *[]byte
-	// lease owns the arena buffers backing reports when the batch
-	// arrived via the binary HTTP codec (nil otherwise); the apply
-	// worker releases it after the batch is folded in.
+	// lease owns the arena buffers backing reports and binary recs, and
+	// the body of a text batch; the apply worker releases it after the
+	// batch is folded in.
 	lease *report.Lease
 }
 

@@ -16,6 +16,12 @@
 // validates monotonicity and range, and never panics or over-allocates
 // on malformed input (fuzz-verified by FuzzReportRoundTripBinary).
 //
+// Every varint must be minimal: a multi-byte varint whose last byte is
+// zero (0x81 0x00 for 1) is rejected by every decoder. The encoders
+// only ever write minimal varints, so an accepted record is exactly its
+// AppendRecord encoding, and a collector may keep the bytes a client
+// sent instead of re-encoding them.
+//
 // The per-report record encoding is exposed on its own as
 // AppendRecord/ReadRecord: the collector's run-level membership log
 // stores each retained run as exactly one such record (fuzz-verified by
@@ -160,19 +166,9 @@ type RecordIDs struct {
 // record took. Once its buffer has grown to the largest record seen,
 // Decode allocates nothing.
 func (d *RecordIDs) Decode(rec []byte, numSites, numPreds int) (int, error) {
-	if len(rec) == 0 {
-		return 0, fmt.Errorf("report: record flags: %v", io.EOF)
-	}
-	if rec[0] > 1 {
-		return 0, fmt.Errorf("report: record: unknown flags %#x", rec[0])
-	}
-	ids, n, err := walkDeltaList(d.buf[:0], rec, 1, numSites)
+	ids, nSites, n, err := walkRecord(d.buf[:0], rec, 0, numSites, numPreds)
 	if err != nil {
-		return 0, fmt.Errorf("report: record sites: %v", err)
-	}
-	nSites := len(ids)
-	if ids, n, err = walkDeltaList(ids, rec, n, numPreds); err != nil {
-		return 0, fmt.Errorf("report: record preds: %v", err)
+		return 0, fmt.Errorf("report: %v", err)
 	}
 	d.buf = ids
 	d.Failed = rec[0]&1 != 0
@@ -180,13 +176,37 @@ func (d *RecordIDs) Decode(rec []byte, numSites, numPreds int) (int, error) {
 	return n, nil
 }
 
+// walkRecord decodes the record at rec[pos:] with ReadRecord's
+// validation, appending its site ids and then its predicate ids to dst.
+// It returns the extended slice, how many of the appended ids are
+// sites, and the position just past the record. This is the one
+// in-memory record decoder: RecordIDs and the arena both use it.
+func walkRecord(dst []int32, rec []byte, pos, numSites, numPreds int) ([]int32, int, int, error) {
+	if pos >= len(rec) {
+		return dst, 0, pos, fmt.Errorf("record flags: %v", io.EOF)
+	}
+	if rec[pos] > 1 {
+		return dst, 0, pos, fmt.Errorf("record: unknown flags %#x", rec[pos])
+	}
+	n0 := len(dst)
+	dst, pos, err := walkDeltaList(dst, rec, pos+1, numSites)
+	if err != nil {
+		return dst, 0, pos, fmt.Errorf("record sites: %v", err)
+	}
+	nSites := len(dst) - n0
+	if dst, pos, err = walkDeltaList(dst, rec, pos, numPreds); err != nil {
+		return dst, 0, pos, fmt.Errorf("record preds: %v", err)
+	}
+	return dst, nSites, pos, nil
+}
+
 // walkDeltaList is appendDeltaList over a byte slice: it decodes the
 // length-prefixed list at rec[pos:] onto dst with the same validation
 // and returns the position just past it.
 func walkDeltaList(dst []int32, rec []byte, pos, dim int) ([]int32, int, error) {
-	n, k := binary.Uvarint(rec[pos:])
-	if k <= 0 {
-		return dst, pos, uvarintErr(k)
+	n, k, err := uvarint(rec[pos:])
+	if err != nil {
+		return dst, pos, err
 	}
 	pos += k
 	if n > uint64(dim) {
@@ -204,8 +224,8 @@ func walkDeltaList(dst []int32, rec []byte, pos, dim int) ([]int32, int, error) 
 			d = uint64(rec[pos])
 			pos++
 		} else {
-			if d, k = binary.Uvarint(rec[pos:]); k <= 0 {
-				return dst, pos, uvarintErr(k)
+			if d, k, err = uvarint(rec[pos:]); err != nil {
+				return dst, pos, err
 			}
 			pos += k
 		}
@@ -228,13 +248,54 @@ func walkDeltaList(dst []int32, rec []byte, pos, dim int) ([]int32, int, error) 
 	return dst, pos, nil
 }
 
-// uvarintErr turns binary.Uvarint's failure count into an error: 0 is
-// a truncated varint, negative one that overflows 64 bits.
-func uvarintErr(k int) error {
-	if k == 0 {
-		return io.ErrUnexpectedEOF
+// errNonMinimal rejects a varint with redundant trailing zero groups.
+var errNonMinimal = errors.New("binary: non-minimal varint")
+
+// errOverflow matches encoding/binary's error for a varint past 64 bits.
+var errOverflow = errors.New("binary: varint overflows a 64-bit integer")
+
+// uvarint is binary.Uvarint that also rejects non-minimal encodings,
+// returning the value and the bytes it took.
+func uvarint(b []byte) (uint64, int, error) {
+	v, k := binary.Uvarint(b)
+	switch {
+	case k == 0:
+		return 0, 0, io.ErrUnexpectedEOF
+	case k < 0:
+		return 0, 0, errOverflow
+	case k > 1 && b[k-1] == 0:
+		return 0, 0, errNonMinimal
 	}
-	return errors.New("binary: varint overflows a 64-bit integer")
+	return v, k, nil
+}
+
+// readUvarint is binary.ReadUvarint that also rejects non-minimal
+// encodings, with ReadUvarint's errors otherwise: io.EOF before the
+// first byte, io.ErrUnexpectedEOF after it.
+func readUvarint(br io.ByteReader) (uint64, error) {
+	var x uint64
+	var s uint
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := br.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, errOverflow
+			}
+			if i > 0 && b == 0 {
+				return 0, errNonMinimal
+			}
+			return x | uint64(b)<<s, nil
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	return 0, errOverflow
 }
 
 // UnmarshalBinary parses a set written by MarshalBinary. It is safe on
@@ -257,16 +318,18 @@ func UnmarshalBinary(r io.Reader) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	numReports, err := binary.ReadUvarint(br)
+	numReports, err := readUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("report: binary numReports: %v", err)
 	}
 	// Each report needs at least 3 bytes on the wire; cap the
 	// preallocation so a lying header cannot force OOM or even a
 	// noticeable over-allocation before the body disproves the claim.
-	capHint := int(numReports)
-	if capHint > maxReportPrealloc {
-		capHint = maxReportPrealloc
+	// Compare before converting: a count of 2^63 or more would turn
+	// negative as an int.
+	capHint := maxReportPrealloc
+	if numReports < maxReportPrealloc {
+		capHint = int(numReports)
 	}
 	set := &Set{NumSites: numSites, NumPreds: numPreds,
 		Reports: make([]*Report, 0, capHint)}
@@ -280,8 +343,8 @@ func UnmarshalBinary(r io.Reader) (*Set, error) {
 	return set, nil
 }
 
-func readDim(br *bufio.Reader, what string) (int, error) {
-	v, err := binary.ReadUvarint(br)
+func readDim(br io.ByteReader, what string) (int, error) {
+	v, err := readUvarint(br)
 	if err != nil {
 		return 0, fmt.Errorf("report: binary %s: %v", what, err)
 	}
@@ -314,7 +377,7 @@ func readDeltaList(br io.ByteReader, dim int) ([]int32, error) {
 
 // readListLen reads a list length header and validates it against dim.
 func readListLen(br io.ByteReader, dim int) (int, error) {
-	n, err := binary.ReadUvarint(br)
+	n, err := readUvarint(br)
 	if err != nil {
 		return 0, err
 	}
@@ -331,7 +394,7 @@ func readListLen(br io.ByteReader, dim int) (int, error) {
 func appendDeltaList(br io.ByteReader, dim, n int, dst []int32) ([]int32, error) {
 	prev := int64(-1)
 	for i := 0; i < n; i++ {
-		d, err := binary.ReadUvarint(br)
+		d, err := readUvarint(br)
 		if err != nil {
 			return dst, err
 		}

@@ -122,6 +122,56 @@ func TestRecordMalformed(t *testing.T) {
 	}
 }
 
+// TestBinaryRejectsNonMinimalVarint: an overlong varint (0x81 0x00 for
+// 1) in a list length, an id delta, or a header field is rejected by
+// every binary decoder, while the minimal spelling of the same batch is
+// accepted — so an accepted record is always its AppendRecord bytes.
+func TestBinaryRejectsNonMinimalVarint(t *testing.T) {
+	// A failed run with sites {2} and no preds, in a 5x5 space.
+	minimal := []byte{0x01, 0x01, 0x02, 0x00}
+	cases := []struct {
+		name   string
+		header []byte // numSites numPreds numReports
+		rec    []byte
+	}{
+		{"minimal", []byte{0x05, 0x05, 0x01}, minimal},
+		{"list length", []byte{0x05, 0x05, 0x01}, []byte{0x01, 0x81, 0x00, 0x02, 0x00}},
+		{"empty list length", []byte{0x05, 0x05, 0x01}, []byte{0x01, 0x01, 0x02, 0x80, 0x80, 0x00}},
+		{"id delta", []byte{0x05, 0x05, 0x01}, []byte{0x01, 0x01, 0x82, 0x00, 0x00}},
+		{"header dimension", []byte{0x85, 0x00, 0x05, 0x01}, minimal},
+		{"report count", []byte{0x05, 0x05, 0x81, 0x00}, minimal},
+	}
+	var arena Arena
+	var walk RecordIDs
+	for _, c := range cases {
+		data := append(append([]byte(binaryMagic), c.header...), c.rec...)
+		check := func(decoder string, err error, ok bool) {
+			t.Helper()
+			if (err == nil) != ok {
+				t.Errorf("%s: %s err = %v, want accepted=%v", c.name, decoder, err, ok)
+			}
+		}
+		ok := c.name == "minimal"
+		_, err := UnmarshalBinary(bytes.NewReader(data))
+		check("UnmarshalBinary", err, ok)
+		_, lease, err := arena.Decode(bytes.NewReader(data))
+		check("Arena.Decode", err, ok)
+		if err == nil {
+			if got := lease.Records(); len(got) != 1 || !bytes.Equal(got[0], minimal) {
+				t.Errorf("%s: Lease.Records() = %x, want [%x]", c.name, got, minimal)
+			}
+			lease.Release()
+		}
+		// The record decoders see only the record, which the header
+		// cases leave minimal.
+		recOK := bytes.Equal(c.rec, minimal)
+		_, err = ReadRecord(bytes.NewReader(c.rec), 5, 5)
+		check("ReadRecord", err, recOK)
+		_, err = walk.Decode(c.rec, 5, 5)
+		check("RecordIDs.Decode", err, recOK)
+	}
+}
+
 func TestBinarySmallerThanText(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	set := randomSet(rng, 500, 2000, 200)
@@ -151,6 +201,8 @@ func TestBinaryMalformed(t *testing.T) {
 		"wrong magic":    []byte("XXXX\x01\x01\x00"),
 		"truncated body": valid[:len(valid)-3],
 		"header only":    valid[:7],
+		// A report count of 2^63 or more is negative as an int.
+		"count past int": []byte("CBR1\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"),
 	}
 	for name, data := range cases {
 		if _, err := UnmarshalBinary(bytes.NewReader(data)); err == nil {

@@ -174,7 +174,9 @@ func FuzzReportRoundTripText(f *testing.F) {
 
 // FuzzReportRoundTripBinaryArena checks that the pooled arena decoder
 // agrees byte-for-byte with the allocating decoder on every input:
-// same accept/reject decision, same decoded set on success. Runs each
+// same accept/reject decision, same decoded set on success, and on
+// success each Lease.Records() entry is its report's AppendRecord
+// encoding. Runs each
 // input through one shared arena twice so recycled workspaces are
 // exercised inside a single fuzz execution.
 func FuzzReportRoundTripBinaryArena(f *testing.F) {
@@ -199,6 +201,17 @@ func FuzzReportRoundTripBinaryArena(f *testing.F) {
 			}
 			if !reflect.DeepEqual(canonSet(want), canonSet(got)) {
 				t.Fatalf("pass %d: arena decode differs:\nplain: %+v\narena: %+v", pass, want, got)
+			}
+			// The collector logs these bytes in place of re-encoding, so
+			// each must be exactly its report's AppendRecord encoding.
+			recs := lease.Records()
+			if len(recs) != len(got.Reports) {
+				t.Fatalf("pass %d: %d records for %d reports", pass, len(recs), len(got.Reports))
+			}
+			for i, r := range got.Reports {
+				if enc := AppendRecord(nil, r); !bytes.Equal(recs[i], enc) {
+					t.Fatalf("pass %d: record %d is %x, canonical encoding %x", pass, i, recs[i], enc)
+				}
 			}
 			lease.Release()
 			if got.NumSites != 0 || got.NumPreds != 0 || len(got.Reports) != 0 {
